@@ -4,10 +4,10 @@
  * experiments themselves live in the shared ExperimentRegistry
  * (src/metrics/experiment.hpp) and know nothing about the benchmark
  * framework; this header wires the registry into benchmark cases and
- * handles the shared --jobs/--list/--filter/--tables/--fast CLI
- * knobs, so
- * every bench runs standalone, supports parallel sweeps, and also
- * reports wall time + headline counters through the framework.
+ * handles the shared --jobs/--list/--filter/--tables/--resume CLI
+ * knobs, so every bench runs standalone, supports parallel sweeps,
+ * and also reports wall time + headline counters through the
+ * framework.
  */
 
 #ifndef CKESIM_BENCH_BENCH_UTIL_HPP
@@ -16,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -35,14 +36,22 @@ registerExperiment(const std::string &name, ExperimentFn body)
  * Standard main body: parse shared flags, register experiments via
  * @p setup, then run — through google-benchmark by default, or
  * directly in --tables mode (stable stdout for diffing; engine stats
- * go to stderr).
+ * go to stderr). Any argument that is neither a shared flag nor a
+ * --benchmark_* flag is an error (exit status 2): a typo or a retired
+ * flag must not run silently with defaults.
  */
 inline int
 benchMain(int argc, char **argv, const std::function<void()> &setup)
 {
     BenchOptions opts = parseBenchArgs(argc, argv);
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--benchmark_", 12) != 0) {
+            std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
+                         argv[0], argv[i]);
+            return 2;
+        }
+    }
     setBenchJobs(opts.jobs);
-    benchEngine().setFastForward(opts.fast);
     if (!opts.resume.empty()) {
         const std::size_t recovered =
             attachBenchJournal(opts.resume);
@@ -89,6 +98,8 @@ benchMain(int argc, char **argv, const std::function<void()> &setup)
     }
 
     benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 2;
     benchmark::RunSpecifiedBenchmarks();
     printSweepStats(stderr);
     benchmark::Shutdown();

@@ -113,22 +113,6 @@ IssueController::beginCycle(
 }
 
 bool
-IssueController::hasPerCycleWork() const
-{
-    // SMK-(P+W): quota_stall_cycles_ advances every single cycle.
-    if (cfg_.warp_quota_enabled)
-        return true;
-    // QBMI: a depleted quota replenishes at the next beginCycle.
-    if (cfg_.bmi == BmiMode::QBMI) {
-        for (std::size_t i = 0;
-             i < static_cast<std::size_t>(num_kernels_); ++i)
-            if (quota_[i] <= 0)
-                return true;
-    }
-    return false;
-}
-
-bool
 IssueController::admitAnyIssue(KernelId k) const
 {
     if (!cfg_.warp_quota_enabled)

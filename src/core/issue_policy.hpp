@@ -113,30 +113,6 @@ class IssueController
     {
         return quota_[k.idx()];
     }
-    /** The cross-kernel demand vector beginCycle last latched. */
-    const std::array<bool, kMaxKernelsPerSm> &memDemand() const
-    {
-        return mem_demand_;
-    }
-
-    /**
-     * Would beginCycle mutate controller state this cycle even with
-     * an unchanged demand vector? True while SMK epoch quotas are
-     * enabled (the stall counter advances every cycle) and while a
-     * depleted QBMI quota awaits replenishment.
-     */
-    bool hasPerCycleWork() const;
-
-    /**
-     * Clockable horizon (sim/clockable.hpp): the controller has no
-     * tick of its own — beginCycle is its per-cycle entry — so the
-     * horizon is `now` while per-cycle work exists and kNeverCycle
-     * otherwise (every other mutation rides an issue/return event).
-     */
-    Cycle nextEventCycle(Cycle now) const
-    {
-        return hasPerCycleWork() ? now : kNeverCycle;
-    }
     const Milg &milg(KernelId k) const
     {
         return milg_[k.idx()];

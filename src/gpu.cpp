@@ -5,21 +5,8 @@
 #include <sstream>
 
 #include "sim/check.hpp"
-#include "sim/clockable.hpp"
 
 namespace ckesim {
-
-// Every ticked layer of the machine honours the Clockable contract;
-// a component losing its horizon breaks the fast path at compile
-// time, not as a silent strict-mode fallback.
-static_assert(has_next_event_cycle_v<Sm>);
-static_assert(has_next_event_cycle_v<Lsu>);
-static_assert(has_next_event_cycle_v<L1Dcache>);
-static_assert(has_next_event_cycle_v<IssueController>);
-static_assert(has_next_event_cycle_v<Crossbar>);
-static_assert(has_next_event_cycle_v<L2Partition>);
-static_assert(has_next_event_cycle_v<DramChannel>);
-static_assert(has_next_event_cycle_v<MemorySystem>);
 
 namespace {
 SimCtx
@@ -324,9 +311,9 @@ Gpu::ucpRepartition()
 void
 Gpu::tickComponents(Cycle at, bool drain)
 {
-    // THE tick ordering, shared by strict stepping, the fast path's
-    // resumed cycles and the audit drain: SMs first (they inject into
-    // the interconnect), then the memory system below them.
+    // THE tick ordering, shared by the run loop and the audit drain:
+    // SMs first (they inject into the interconnect), then the memory
+    // system below them.
     for (auto &sm : sms_)
         drain ? sm->drainTick(at) : sm->tick(at);
     mem_.tick(at);
@@ -372,99 +359,15 @@ Gpu::stepCycle()
     }
 }
 
-Cycle
-Gpu::skipTarget(Cycle end) const
-{
-    // Component horizons: the earliest cycle any SM or the memory
-    // system could change state. A horizon of now_ means this very
-    // cycle has work — no skip, so bail before scanning the rest (on
-    // busy cycles this keeps the fast path's bookkeeping near free).
-    Cycle target = end;
-    for (const auto &sm : sms_) {
-        target = earliestEvent(
-            target, clampHorizon(sm->nextEventCycle(now_), now_));
-        if (target == now_)
-            return now_;
-    }
-    target =
-        earliestEvent(target,
-                      clampHorizon(mem_.nextEventCycle(now_), now_));
-    if (target == now_)
-        return now_;
-
-    // Cadenced-event boundaries: every cycle on which stepCycle()
-    // runs a top-of-body action (checkpoint, UCP, global DMIL,
-    // profiling end) or a bottom-of-body integrity block must
-    // execute strictly, so events inside a skipped span still fire
-    // in order. nextCadence(now_) == now_ on a boundary, which
-    // forces target == now_ (no skip) and a strict step.
-    const int interval = cfg_.integrity.check_interval;
-    if (interval > 0)
-        target = earliestEvent(target, nextCadence(now_, interval));
-    const int ckpt = cfg_.integrity.checkpoint_interval;
-    if (ckpt > 0)
-        target = earliestEvent(target, nextCadence(now_, ckpt));
-    if (spec_.ucp)
-        target = earliestEvent(
-            target,
-            nextCadence(now_,
-                        static_cast<int>(spec_.ucp_interval.get())));
-    if (spec_.global_dmil && spec_.mil == MilMode::Dynamic)
-        target = earliestEvent(
-            target,
-            nextCadence(
-                now_,
-                static_cast<int>(spec_.global_dmil_interval.get())));
-    if (profiling_)
-        target = earliestEvent(target, profile_end_);
-    return target;
-}
-
-void
-Gpu::skipTo(Cycle target)
-{
-    // Every cycle in [now_, target) is a proven no-op for every
-    // component; replicate the only bookkeeping those ticks would
-    // have performed (SM clocks and cycle counters) and warp time.
-    const std::uint64_t delta = (target - now_).get();
-    for (auto &sm : sms_)
-        sm->skipIdleCycles(target, delta);
-    fast_skipped_cycles_ += delta;
-    now_ = target;
-}
-
 void
 Gpu::run(Cycle cycles)
 {
     const Cycle end = now_ + cycles;
-    // Fault predicates consult per-cycle firing budgets; skipping
-    // would change which cycles they see. Faulted runs step strictly.
-    const bool fast = fast_forward_ && fault_injector_.empty();
-    // Attribute the loop glue (tick dispatch, cadence checks,
-    // skip-target scans) explicitly; nested component scopes
-    // subtract, so this shows up as `runloop` self-time.
+    // Attribute the loop glue (tick dispatch, cadence checks)
+    // explicitly; nested component scopes subtract, so this shows up
+    // as `runloop` self-time.
     ProfScope prof_loop(cost_prof_, ProfComp::Runloop);
-    // Adaptive attempt pacing: a horizon scan costs about as much as
-    // ticking an idle cycle, so a busy machine must not pay it every
-    // cycle. Each failed attempt doubles the wait before the next
-    // (capped); any successful skip resets the pace. Deterministic —
-    // and it only changes WHICH proven no-op spans are skipped: any
-    // subset of them leaves the machine bit-identical.
-    std::uint64_t backoff = 1;
-    std::uint64_t until_attempt = 0;
     while (now_ < end) {
-        if (fast && until_attempt == 0) {
-            const Cycle target = skipTarget(end);
-            if (target > now_) {
-                skipTo(target);
-                backoff = 1;
-                continue;
-            }
-            until_attempt = backoff;
-            backoff = backoff < 64 ? backoff * 2 : 64;
-        }
-        if (until_attempt > 0)
-            --until_attempt;
         stepCycle();
         ++now_;
     }

@@ -109,27 +109,6 @@ class Gpu
     void run(Cycle cycles);
 
     /**
-     * Event-driven fast path (sim/clockable.hpp). When enabled,
-     * run() warps now_ forward whenever every component's
-     * nextEventCycle() horizon lies in the future — capped at the
-     * next cadenced-event boundary (integrity poll, checkpoint, UCP,
-     * global-DMIL, profiling end) so cadenced events inside a
-     * skipped span still fire in order, and disabled outright while
-     * fault injection is armed (fault predicates consult per-cycle
-     * budgets). Results — stats, TimeSeries, snapshot fingerprints —
-     * are bit-identical to strict stepping; see DESIGN.md section 13.
-     */
-    void setFastForward(bool enabled) { fast_forward_ = enabled; }
-    bool fastForward() const { return fast_forward_; }
-
-    /** Cycles the fast path warped over (diagnostics: the skip
-     *  fraction is fastSkippedCycles() / total cycles run). */
-    std::uint64_t fastSkippedCycles() const
-    {
-        return fast_skipped_cycles_;
-    }
-
-    /**
      * End-of-run conservation audit: drains all in-flight memory
      * state (no new instructions issue) and then proves that every
      * generated request retired — L1/L2 MSHR tables empty, miss and
@@ -219,11 +198,11 @@ class Gpu
 
     /**
      * Attach a cycle-cost profiler (nullptr detaches): wall-time
-     * attribution of the strict stepping loop to components
-     * (DESIGN.md §14). Observation only — simulation results are
-     * bit-identical with or without it. A Gpu constructed while the
-     * CKESIM_PROF environment variable is set owns one and prints
-     * its breakdown to stderr on destruction.
+     * attribution of the run loop to components (DESIGN.md §14).
+     * Observation only — simulation results are bit-identical with
+     * or without it. A Gpu constructed while the CKESIM_PROF
+     * environment variable is set owns one and prints its breakdown
+     * to stderr on destruction.
      */
     void setProfiler(Profiler *prof);
     Profiler *profiler() const { return cost_prof_; }
@@ -235,11 +214,9 @@ class Gpu
     void ucpRepartition();
     static void accessTap(void *opaque, KernelId k, LineAddr line);
 
-    // Clockable stepping (shared by strict/fast run and audit drain).
+    // Cycle stepping (shared by run and the audit drain).
     void tickComponents(Cycle at, bool drain);
     void stepCycle();
-    Cycle skipTarget(Cycle end) const;
-    void skipTo(Cycle target);
 
     // Integrity layer.
     std::uint64_t progressSignature() const;
@@ -283,10 +260,6 @@ class Gpu
     // Crash-safety state.
     RunControl *run_control_ = nullptr; // SNAPSHOT-SKIP(owned by the supervising caller)
     std::optional<GpuSnapshot> last_checkpoint_; // SNAPSHOT-SKIP(checkpoint artifact, not machine state)
-
-    // Fast-path state.
-    bool fast_forward_ = false; // SNAPSHOT-SKIP(execution strategy, not machine state)
-    std::uint64_t fast_skipped_cycles_ = 0; // SNAPSHOT-SKIP(diagnostic counter, not machine state)
 
     // Cycle-cost profiling (observation only, never machine state).
     Profiler *cost_prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the owner)

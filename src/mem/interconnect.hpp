@@ -63,15 +63,6 @@ class Crossbar
 
     int numDests() const { return static_cast<int>(ports_.size()); }
 
-    /**
-     * Clockable horizon (sim/clockable.hpp): earliest delivery time
-     * over all ports. Per-port ready times are monotone (tryInject
-     * serializes on next_free), so each port's front packet is its
-     * minimum; a packet already deliverable reports `now` — whether
-     * the consumer drains it is the consumer's (gated) decision.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
     /** Serialize every port's queue and wire timer. */
     void snapshot(SnapshotWriter &w) const;
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "sim/check.hpp"
-#include "sim/clockable.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -117,35 +116,6 @@ MemorySystem::tick(Cycle now)
             retry.pop_front();
         }
     }
-}
-
-Cycle
-MemorySystem::nextEventCycle(Cycle now) const
-{
-    Cycle horizon =
-        earliestEvent(fwd_.nextEventCycle(now),
-                      reply_.nextEventCycle(now));
-    for (int p = 0; p < numPartitions(); ++p) {
-        horizon = earliestEvent(
-            horizon,
-            partitions_[static_cast<std::size_t>(p)]
-                ->nextEventCycle(now));
-        horizon = earliestEvent(
-            horizon,
-            channels_[static_cast<std::size_t>(p)]
-                ->nextEventCycle(now));
-        // A refused reply retries the crossbar every cycle.
-        if (!reply_retry_[static_cast<std::size_t>(p)].empty())
-            return now;
-    }
-    // Fault-delayed fills release in drainRepliesForSm on their own
-    // (not necessarily sorted) schedule; faulted runs fall back to
-    // strict stepping anyway, so `now` is the honest answer.
-    // HOTPATH-ALLOW(fault-injection only; untouched on fault-free runs)
-    for (const std::deque<DelayedFill> &held : delayed_)
-        if (!held.empty())
-            return now;
-    return horizon;
 }
 
 void

@@ -45,7 +45,7 @@ enum class ProfComp : int {
     L2,        ///< L2 partition ticks and DRAM-fill processing
     Dram,      ///< DRAM channel ticks and fill drains
     Integrity, ///< periodic invariant sweeps and watchdog polls
-    Runloop,   ///< Gpu::run glue: tick dispatch, cadences, skip scans
+    Runloop,   ///< Gpu::run glue: tick dispatch, cadences
     kCount,
 };
 

@@ -18,8 +18,6 @@
  *  - snapshot()/restore() serialize as (u64 count, elements in FIFO
  *    order) — byte-identical to the std::deque loops they replaced,
  *    so pre-existing snapshot fingerprints are preserved.
- *  - Clockable-horizon friendly: front() is O(1), so
- *    nextEventCycle() implementations can peek the head cheaply.
  */
 
 #ifndef CKESIM_SIM_RINGBUF_HPP

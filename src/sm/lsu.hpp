@@ -66,16 +66,6 @@ class Lsu
     bool empty() const { return queue_.empty(); }
     int size() const { return static_cast<int>(queue_.size()); }
 
-    /**
-     * Clockable horizon (sim/clockable.hpp): the in-order pipeline
-     * services its head every cycle it holds one, so any occupancy
-     * means same-cycle work; an empty queue never acts unaided.
-     */
-    Cycle nextEventCycle(Cycle now) const
-    {
-        return queue_.empty() ? kNeverCycle : now;
-    }
-
     /** Kernel owning the head entry (kInvalidKernel when empty). */
     KernelId headKernel() const
     {

@@ -156,6 +156,52 @@ TEST(Determinism, SameSeedAndConfigProduceIdenticalFingerprints)
     EXPECT_EQ(hash_once(), hash_once());
 }
 
+TEST(Determinism, SplitRunsMatchOneRun)
+{
+    // run(a); run(b) must end exactly where one run(a + b) does: the
+    // profiling end, UCP repartitions and global-DMIL broadcasts all
+    // fire on both sides of the split. Trace sampling between run()
+    // chunks relies on this.
+    const Workload w = makeWorkload({"sv", "ks"});
+    std::vector<std::pair<std::string, SchemeSpec>> schemes;
+    schemes.emplace_back("smk-drf",
+                         makeScheme(PartitionScheme::SmkDrf,
+                                    BmiMode::None, MilMode::None));
+    {
+        SchemeSpec s = makeScheme(PartitionScheme::WarpedSlicer,
+                                  BmiMode::None, MilMode::None);
+        s.ws_profile_window = Cycle{2000};
+        s.ucp = true;
+        s.ucp_interval = Cycle{3000};
+        schemes.emplace_back("ws-ucp", s);
+    }
+    {
+        SchemeSpec s = makeScheme(PartitionScheme::WarpedSlicer,
+                                  BmiMode::QBMI, MilMode::Dynamic);
+        s.ws_profile_window = Cycle{2000};
+        s.global_dmil = true;
+        schemes.emplace_back("ws-qbmi-dmil-global", s);
+    }
+
+    auto hash = [](const Gpu &gpu) {
+        std::uint64_t h = fingerprint(gpu.smStatsTotal());
+        for (int k = 0; k < gpu.numKernels(); ++k)
+            h = fingerprint(gpu.kernelStatsTotal(KernelId{k}), h);
+        return h;
+    };
+    for (const auto &[name, spec] : schemes) {
+        Gpu once(smallCfg(), w, spec);
+        once.run(Cycle{10000});
+        Gpu split(smallCfg(), w, spec);
+        split.run(Cycle{4000});
+        split.run(Cycle{6000});
+        EXPECT_EQ(once.measuredCycles(), split.measuredCycles())
+            << name;
+        EXPECT_EQ(hash(once), hash(split)) << name;
+        EXPECT_GT(once.smStatsTotal().cycles, 0u) << name;
+    }
+}
+
 TEST(Determinism, FingerprintSeparatesDifferentStats)
 {
     KernelStats a;

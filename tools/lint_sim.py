@@ -32,14 +32,6 @@ Enforces repo rules that clang-tidy cannot express:
                   line. A silently-forgotten field is the snapshot
                   layer's worst failure mode: replay diverges with no
                   error.
-  fastpath-coverage
-                  Any class declaring a `tick(Cycle ...)` member must
-                  also declare `nextEventCycle(` (the Clockable
-                  horizon, sim/clockable.hpp) or carry a
-                  `// FASTPATH-SKIP(reason)` waiver inside the class
-                  body. A ticked component invisible to the fast
-                  path's skip decision silently breaks strict-vs-fast
-                  bit-identity.
   hotpath         No std::deque/std::map/std::unordered_map in the
                   per-cycle simulation paths (src/mem/, src/sm/,
                   src/gpu.*). The strict path walks these structures
@@ -57,9 +49,7 @@ Enforces repo rules that clang-tidy cannot express:
                   actually suppressed a finding this run.
                   SNAPSHOT-SKIP must sit on (or within three lines
                   above) a data-member declaration in a header that
-                  declares the snapshot pair; FASTPATH-SKIP must sit
-                  in the body of a class that declares tick(Cycle ...)
-                  and lacks nextEventCycle(). The literal placeholder
+                  declares the snapshot pair. The literal placeholder
                   spelling `(reason)` is documentation, not a waiver.
 
 Any rule can be waived on a specific line with
@@ -161,13 +151,6 @@ HOTPATH_CONTAINER = re.compile(
     r"\bstd::(?:deque|map|unordered_map)\b")
 HOTPATH_ALLOW = re.compile(r"HOTPATH-ALLOW\([^)]*\S[^)]*\)")
 
-# ---- fastpath-coverage rule ------------------------------------------
-CLASS_OPEN = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{)]*\{")
-TICK_DECL = re.compile(r"\btick\s*\(\s*Cycle\b")
-NEXT_EVENT_DECL = re.compile(r"\bnextEventCycle\s*\(")
-FASTPATH_SKIP = re.compile(r"FASTPATH-SKIP\([^)]*\S[^)]*\)")
-
-
 def extract_snapshot_bodies(text):
     """Concatenate the bodies of every snapshot/restore-ish function."""
     bodies = []
@@ -207,7 +190,6 @@ def guard_name(rel):
 WAIVER_KINDS = (
     ("HOTPATH-ALLOW", HOTPATH_ALLOW),
     ("SNAPSHOT-SKIP", SNAPSHOT_SKIP),
-    ("FASTPATH-SKIP", FASTPATH_SKIP),
 )
 
 
@@ -349,40 +331,6 @@ class Linter:
         if is_header:
             self.lint_guard(rel, lines)
             self.lint_snapshot_coverage(rel, lines)
-            self.lint_fastpath_coverage(rel, lines)
-
-    def lint_fastpath_coverage(self, rel, lines):
-        text = "\n".join(
-            strip_code_noise(l) if "FASTPATH-SKIP" not in l else l
-            for l in lines)
-        for m in CLASS_OPEN.finditer(text):
-            depth = 1
-            i = m.end()
-            while i < len(text) and depth > 0:
-                if text[i] == "{":
-                    depth += 1
-                elif text[i] == "}":
-                    depth -= 1
-                i += 1
-            body = text[m.end():i]
-            tick = TICK_DECL.search(body)
-            if not tick:
-                continue
-            if NEXT_EVENT_DECL.search(body):
-                continue
-            skip = FASTPATH_SKIP.search(body)
-            if skip:
-                skip_line = text.count(
-                    "\n", 0, m.end() + skip.start()) + 1
-                self.use_waiver(rel, skip_line, "FASTPATH-SKIP")
-                continue
-            lineno = text.count("\n", 0, m.end() + tick.start()) + 1
-            self.report(
-                rel, lineno, "fastpath-coverage",
-                f"class '{m.group(1)}' declares tick(Cycle ...) but "
-                "no nextEventCycle() horizon — implement the "
-                "Clockable contract (sim/clockable.hpp) or waive "
-                "with `// FASTPATH-SKIP(reason)` in the class body")
 
     def lint_snapshot_coverage(self, rel, lines):
         text = "\n".join(lines)

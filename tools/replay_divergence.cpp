@@ -11,13 +11,7 @@
  * mismatching fingerprint pair) on any divergence; CI runs it as the
  * `replay_divergence` ctest target.
  *
- * Usage: replay_divergence [--trials N] [--seed S] [--fast]
- *
- * --fast runs every machine with the event-driven fast path
- * (Gpu::setFastForward); results must stay bit-identical to strict
- * stepping, so CI diffs strict vs --fast stdout. Faulted cases fall
- * back to strict stepping internally (the fast path disarms itself
- * while a fault injector is loaded).
+ * Usage: replay_divergence [--trials N] [--seed S]
  */
 
 #include <cinttypes>
@@ -35,9 +29,6 @@
 namespace {
 
 using namespace ckesim;
-
-/** --fast: run every machine with event-driven cycle skipping. */
-bool g_fast = false;
 
 /** Everything two equivalent runs must agree on, bit for bit. */
 struct Outcome
@@ -100,14 +91,12 @@ replayTrial(const GpuConfig &cfg, const Workload &wl,
             const CaseSpec &cs, std::uint64_t kill)
 {
     Gpu straight(cfg, wl, cs.spec);
-    straight.setFastForward(g_fast);
     straight.run(Cycle{kill});
     const GpuSnapshot ckpt = straight.snapshot();
     straight.run(Cycle{cs.total_cycles - kill});
     const Outcome want = outcomeOf(straight);
 
     Gpu resumed(cfg, wl, cs.spec);
-    resumed.setFastForward(g_fast);
     resumed.restore(ckpt);
     resumed.run(Cycle{cs.total_cycles - kill});
     const Outcome got = outcomeOf(resumed);
@@ -142,14 +131,12 @@ autoCheckpointTrial(const GpuConfig &cfg, const Workload &wl,
                     const CaseSpec &cs, int interval)
 {
     Gpu plain(cfg, wl, cs.spec);
-    plain.setFastForward(g_fast);
     plain.run(Cycle{cs.total_cycles});
     const Outcome want = outcomeOf(plain);
 
     GpuConfig ckpt_cfg = cfg;
     ckpt_cfg.integrity.checkpoint_interval = interval;
     Gpu observed(ckpt_cfg, wl, cs.spec);
-    observed.setFastForward(g_fast);
     observed.run(Cycle{cs.total_cycles});
     const Outcome with_ckpt = outcomeOf(observed);
 
@@ -170,7 +157,6 @@ autoCheckpointTrial(const GpuConfig &cfg, const Workload &wl,
     }
 
     Gpu resumed(ckpt_cfg, wl, cs.spec);
-    resumed.setFastForward(g_fast);
     resumed.restore(*last);
     resumed.run(Cycle{cs.total_cycles - last->cycle.get()});
     const Outcome got = outcomeOf(resumed);
@@ -279,12 +265,9 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
             seed = static_cast<std::uint64_t>(
                 std::strtoull(argv[++i], nullptr, 0));
-        else if (std::strcmp(argv[i], "--fast") == 0)
-            g_fast = true;
         else {
             std::fprintf(stderr,
-                         "usage: %s [--trials N] [--seed S] "
-                         "[--fast]\n",
+                         "usage: %s [--trials N] [--seed S]\n",
                          argv[0]);
             return 2;
         }

@@ -11,14 +11,13 @@ its neighbor):
 The rule name and the reason are both mandatory — a waiver without a
 reason is itself a finding (`waiver-syntax`), and a waiver that no
 longer suppresses anything is itself a finding (`unused-waiver`), so
-waivers cannot rot. Two legacy markers from tools/lint_sim.py are
-honored where their semantics match an AST rule:
+waivers cannot rot. The legacy marker from tools/lint_sim.py is
+honored where its semantics match an AST rule:
 
     // SNAPSHOT-SKIP(reason)   — snapshot-coverage-v2, on a field
-    // FASTPATH-SKIP(reason)   — clockable-contract, in a class body
 
-(Their *unused* detection lives in lint_sim.py's unused-waiver rule,
-which owns those marker namespaces.)
+(Its *unused* detection lives in lint_sim.py's unused-waiver rule,
+which owns that marker namespace.)
 """
 
 import re
@@ -33,9 +32,6 @@ ALLOW_ANY_RE = re.compile(r"SIMCHECK-ALLOW\(")
 LEGACY_MARKERS = {
     "snapshot-coverage-v2": re.compile(
         r"SNAPSHOT-SKIP\([^)]*\S[^)]*\)"
-    ),
-    "clockable-contract": re.compile(
-        r"FASTPATH-SKIP\([^)]*\S[^)]*\)"
     ),
 }
 
@@ -99,28 +95,6 @@ class WaiverSet:
                 if 1 <= ln <= len(lines) and legacy.search(
                     lines[ln - 1]
                 ):
-                    return True
-        return False
-
-    def suppresses_in_span(self, rel, first, last, rule):
-        """True when any matching waiver (or legacy marker) appears in
-        [first, last] — for class-scoped waivers like the Clockable
-        contract's FASTPATH-SKIP."""
-        hit = False
-        for (f, ln), ws in self._by_loc.items():
-            if f != rel or not first <= ln <= last:
-                continue
-            for w in ws:
-                if w.rule == rule:
-                    w.used = True
-                    hit = True
-        if hit:
-            return True
-        legacy = LEGACY_MARKERS.get(rule)
-        if legacy is not None:
-            lines = self._file_lines.get(rel, [])
-            for ln in range(first, min(last, len(lines)) + 1):
-                if legacy.search(lines[ln - 1]):
                     return True
         return False
 
