@@ -223,52 +223,6 @@ IssueController::setMilBypass(bool bypass)
     mil_bypass_ = bypass;
 }
 
-void
-IssueController::snapshot(SnapshotWriter &w) const
-{
-    w.section("issue_controller");
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(inflight_[i]);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        milg_[i].snapshot(w);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(mil_override_[i]);
-    w.boolean(mil_bypass_);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.boolean(mem_demand_[i]);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(quota_[i]);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        rpm_[i].snapshot(w);
-    w.i64(rr_next_);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(warp_quota_left_[i]);
-    w.i64(quota_stall_cycles_);
-}
-
-void
-IssueController::restore(SnapshotReader &r)
-{
-    r.section("issue_controller");
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        inflight_[i] = static_cast<int>(r.i64());
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        milg_[i].restore(r);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        mil_override_[i] = static_cast<int>(r.i64());
-    mil_bypass_ = r.boolean();
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        mem_demand_[i] = r.boolean();
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        quota_[i] = static_cast<int>(r.i64());
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        rpm_[i].restore(r);
-    rr_next_ = static_cast<int>(r.i64());
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        warp_quota_left_[i] = r.i64();
-    quota_stall_cycles_ = static_cast<int>(r.i64());
-}
-
 int
 IssueController::milLimit(KernelId k) const
 {

@@ -17,7 +17,6 @@
 
 #include "core/milg.hpp"
 #include "core/qbmi.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -119,17 +118,11 @@ class IssueController
     }
     int numKernels() const { return num_kernels_; }
 
-    /** Serialize MIL/BMI/quota state (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a controller of identical configuration. */
-    void restore(SnapshotReader &r);
-
   private:
     void replenishQuotas();
 
-    IssuePolicyConfig cfg_; // SNAPSHOT-SKIP(fixed at construction)
-    int num_kernels_;       // SNAPSHOT-SKIP(fixed at construction)
+    IssuePolicyConfig cfg_;
+    int num_kernels_;
 
     // MIL state.
     std::array<int, kMaxKernelsPerSm> inflight_{};

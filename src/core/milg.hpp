@@ -25,8 +25,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "sim/snapshot.hpp"
-
 namespace ckesim {
 
 /** One kernel's limiting-number generator (one per kernel per SM). */
@@ -92,28 +90,6 @@ class Milg
         limit_ = kUnlimited;
         prev_over_ = false;
         intervals_ = 0;
-    }
-
-    void
-    snapshot(SnapshotWriter &w) const
-    {
-        w.i64(request_counter_);
-        w.i64(rsfail_counter_);
-        w.i64(peak_inflight_);
-        w.i64(limit_);
-        w.boolean(prev_over_);
-        w.u64(intervals_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        request_counter_ = static_cast<int>(r.i64());
-        rsfail_counter_ = static_cast<int>(r.i64());
-        peak_inflight_ = static_cast<int>(r.i64());
-        limit_ = static_cast<int>(r.i64());
-        prev_over_ = r.boolean();
-        intervals_ = r.u64();
     }
 
   private:

@@ -21,8 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/snapshot.hpp"
-
 namespace ckesim {
 
 /** Least common multiple (safe for the small r_i values seen here). */
@@ -74,22 +72,6 @@ class ReqPerMinstEstimator
         requests_ = 0;
         minsts_ = 0;
         estimate_ = 1.0;
-    }
-
-    void
-    snapshot(SnapshotWriter &w) const
-    {
-        w.i64(requests_);
-        w.i64(minsts_);
-        w.f64(estimate_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        requests_ = static_cast<int>(r.i64());
-        minsts_ = static_cast<int>(r.i64());
-        estimate_ = r.f64();
     }
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -55,50 +54,6 @@ UmonMonitor::age()
     for (std::uint64_t &h : way_hits_)
         h >>= 1;
     misses_ >>= 1;
-}
-
-void
-UmonMonitor::snapshot(SnapshotWriter &w) const
-{
-    w.section("umon");
-    w.u64(shadow_tags_.size());
-    for (const std::vector<LineAddr> &stack : shadow_tags_) {
-        w.u64(stack.size());
-        for (const LineAddr line : stack)
-            w.unit(line);
-    }
-    w.vecU64(way_hits_);
-    w.u64(misses_);
-}
-
-void
-UmonMonitor::restore(SnapshotReader &r)
-{
-    r.section("umon");
-    SimCtx ctx;
-    ctx.module = "ucp";
-    const std::uint64_t nsets = r.u64();
-    SIM_CHECK(nsets == shadow_tags_.size(), ctx,
-              "snapshot holds " << nsets
-                                << " sampled sets, monitor has "
-                                << shadow_tags_.size());
-    for (std::vector<LineAddr> &stack : shadow_tags_) {
-        stack.clear();
-        const std::uint64_t m = r.u64();
-        SIM_CHECK(m <= static_cast<std::uint64_t>(assoc_), ctx,
-                  "shadow stack of " << m << " lines exceeds assoc "
-                                     << assoc_);
-        stack.reserve(static_cast<std::size_t>(m));
-        for (std::uint64_t i = 0; i < m; ++i)
-            stack.push_back(r.unit<LineAddr>());
-    }
-    way_hits_ = r.vecU64();
-    SIM_CHECK(way_hits_.size() == static_cast<std::size_t>(assoc_),
-              ctx,
-              "snapshot holds " << way_hits_.size()
-                                << " way-hit counters, monitor has "
-                                << assoc_);
-    misses_ = r.u64();
 }
 
 std::vector<int>

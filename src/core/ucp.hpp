@@ -21,9 +21,6 @@
 
 namespace ckesim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Shadow-tag utility monitor for one kernel on one SM's L1D. */
 class UmonMonitor
 {
@@ -51,16 +48,10 @@ class UmonMonitor
     /** Halve all counters (periodic aging between repartitions). */
     void age();
 
-    /** Serialize shadow tags and utility counters (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a monitor of identical geometry. */
-    void restore(SnapshotReader &r);
-
   private:
-    int num_sets_;     // SNAPSHOT-SKIP(fixed at construction)
-    int assoc_;        // SNAPSHOT-SKIP(fixed at construction)
-    int sample_shift_; // SNAPSHOT-SKIP(fixed at construction)
+    int num_sets_;
+    int assoc_;
+    int sample_shift_;
     /** shadow_tags_[sampled_set] = MRU-first line list. */
     std::vector<std::vector<LineAddr>> shadow_tags_;
     std::vector<std::uint64_t> way_hits_;

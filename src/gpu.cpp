@@ -324,11 +324,6 @@ Gpu::stepCycle()
 {
     {
         ProfScope prof_scheme(cost_prof_, ProfComp::Scheme);
-        // Checkpoint before cycle now_ executes: a restored snapshot
-        // resumes by ticking now_ exactly once, never twice.
-        const int ckpt = cfg_.integrity.checkpoint_interval;
-        if (ckpt > 0 && now_ > Cycle{} && now_ % ckpt == 0)
-            last_checkpoint_ = snapshot();
         if (profiling_ && now_ == profile_end_)
             finishProfiling();
         if (spec_.ucp && now_ > Cycle{} &&
@@ -546,143 +541,6 @@ Gpu::smStatsTotal() const
     for (const auto &sm : sms_)
         total += sm->smStats();
     return total;
-}
-
-// ---- crash safety -------------------------------------------------------
-
-namespace {
-/** FNV-1a over a string (the config digest pin stored in snapshots). */
-std::uint64_t
-fnvString(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvBytes(const std::vector<std::uint8_t> &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-} // namespace
-
-GpuSnapshot
-Gpu::snapshot() const
-{
-    SnapshotWriter w;
-    w.section("gpu");
-    w.boolean(profiling_);
-    w.unit(profile_end_);
-    w.u64(profile_assign_.size());
-    for (const auto &[k, count] : profile_assign_) {
-        w.i64(k);
-        w.i64(count);
-    }
-    w.u64(sweet_.tbs.size());
-    for (const int t : sweet_.tbs)
-        w.i64(t);
-    w.f64(sweet_.theoretical_ws);
-    w.u64(sweet_.predicted_norm_ipc.size());
-    for (const double p : sweet_.predicted_norm_ipc)
-        w.f64(p);
-    w.u64(partition_.size());
-    for (const int t : partition_)
-        w.i64(t);
-    w.unit(now_);
-    w.unit(measured_start_);
-    w.u64(last_progress_sig_);
-    w.unit(last_progress_cycle_);
-    fault_injector_.snapshot(w);
-    w.u64(umons_.size());
-    for (const auto &row : umons_)
-        for (const UmonMonitor &m : row)
-            m.snapshot(w);
-    mem_.snapshot(w);
-    for (const auto &sm : sms_)
-        sm->snapshot(w);
-
-    GpuSnapshot snap;
-    snap.version = kSnapshotFormatVersion;
-    snap.cycle = now_;
-    snap.config_digest = fnvString(cfg_.digest());
-    snap.fingerprint = w.fingerprint();
-    snap.bytes = w.take();
-    return snap;
-}
-
-void
-Gpu::restore(const GpuSnapshot &snap)
-{
-    const SimCtx ctx = gpuCtx(now_);
-    if (snap.version != kSnapshotFormatVersion)
-        raiseSimError(
-            "Snapshot", ctx,
-            "snapshot format version " + std::to_string(snap.version) +
-                " does not match this build's " +
-                std::to_string(kSnapshotFormatVersion) +
-                " (no migration; re-run from scratch)");
-    if (snap.config_digest != fnvString(cfg_.digest()))
-        raiseSimError("Snapshot", ctx,
-                      "snapshot was taken under a different GpuConfig "
-                      "(" +
-                          cfg_.digest() + " expected)");
-    if (snap.fingerprint != fnvBytes(snap.bytes))
-        raiseSimError("Snapshot", ctx,
-                      "snapshot payload does not match its "
-                      "fingerprint (corrupted or truncated "
-                      "checkpoint)");
-
-    SnapshotReader r(snap.bytes);
-    r.section("gpu");
-    profiling_ = r.boolean();
-    profile_end_ = r.unit<Cycle>();
-    const std::uint64_t nassign = r.u64();
-    profile_assign_.assign(static_cast<std::size_t>(nassign), {-1, 0});
-    for (auto &[k, count] : profile_assign_) {
-        k = static_cast<int>(r.i64());
-        count = static_cast<int>(r.i64());
-    }
-    sweet_.tbs.assign(static_cast<std::size_t>(r.u64()), 0);
-    for (int &t : sweet_.tbs)
-        t = static_cast<int>(r.i64());
-    sweet_.theoretical_ws = r.f64();
-    sweet_.predicted_norm_ipc.assign(
-        static_cast<std::size_t>(r.u64()), 0.0);
-    for (double &p : sweet_.predicted_norm_ipc)
-        p = r.f64();
-    partition_.assign(static_cast<std::size_t>(r.u64()), 0);
-    for (int &t : partition_)
-        t = static_cast<int>(r.i64());
-    now_ = r.unit<Cycle>();
-    measured_start_ = r.unit<Cycle>();
-    last_progress_sig_ = r.u64();
-    last_progress_cycle_ = r.unit<Cycle>();
-    fault_injector_.restore(r);
-    const std::uint64_t numons = r.u64();
-    SIM_CHECK(numons == umons_.size(), ctx,
-              "snapshot holds " << numons
-                  << " UMON rows, this GPU has " << umons_.size());
-    for (auto &row : umons_)
-        for (UmonMonitor &m : row)
-            m.restore(r);
-    mem_.restore(r);
-    for (const auto &sm : sms_)
-        sm->restore(r);
-    SIM_CHECK(r.atEnd(), ctx,
-              "snapshot payload has " << (snap.bytes.size() - r.offset())
-                  << " trailing byte(s) after restore");
-    SIM_CHECK(now_ == snap.cycle, ctx,
-              "snapshot metadata cycle " << snap.cycle
-                  << " disagrees with serialized clock " << now_);
 }
 
 void

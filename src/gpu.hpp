@@ -10,7 +10,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "sim/config.hpp"
 #include "sim/profiler.hpp"
 #include "sim/run_control.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/time_series.hpp"
 #include "sm/sm.hpp"
 
@@ -161,31 +159,6 @@ class Gpu
         return fault_injector_;
     }
 
-    // ---- crash safety ---------------------------------------------------
-    /**
-     * Capture the complete mutable simulator state at the current
-     * cycle: every SM (warps, schedulers, LSU, L1D), the memory
-     * system, scheme state (Warped-Slicer, UCP monitors), the fault
-     * injector and all RNG streams. restore(snapshot(t)) followed by
-     * run(n) is bit-identical to running straight through t+n.
-     */
-    GpuSnapshot snapshot() const;
-
-    /**
-     * Restore a checkpoint taken from an identically constructed Gpu
-     * (same config, workload and scheme). Throws SimError (kind
-     * "Snapshot") on format-version or config-digest mismatch, or
-     * when the payload does not match its fingerprint.
-     */
-    void restore(const GpuSnapshot &snap);
-
-    /** Most recent automatic checkpoint taken by run() every
-     *  cfg.integrity.checkpoint_interval cycles (nullptr if none). */
-    const GpuSnapshot *lastCheckpoint() const
-    {
-        return last_checkpoint_ ? &*last_checkpoint_ : nullptr;
-    }
-
     /** Attach cooperative cancellation / budget control (nullptr
      *  detaches). Polled on the integrity-check cadence; a tripped
      *  control raises SimError kind "Cancelled" or "Timeout". */
@@ -226,9 +199,9 @@ class Gpu
     void pollRunControl();
     [[noreturn]] void raiseWatchdog();
 
-    GpuConfig cfg_;      // SNAPSHOT-SKIP(fixed at construction)
-    Workload workload_;  // SNAPSHOT-SKIP(fixed at construction)
-    SchemeSpec spec_;    // SNAPSHOT-SKIP(fixed at construction)
+    GpuConfig cfg_;
+    Workload workload_;
+    SchemeSpec spec_;
     MemorySystem mem_;
     std::vector<std::unique_ptr<Sm>> sms_;
 
@@ -247,7 +220,7 @@ class Gpu
         int sm = 0;
     };
     std::vector<std::vector<UmonMonitor>> umons_;
-    std::vector<Tap> taps_; // SNAPSHOT-SKIP(pointer plumbing, fixed at construction)
+    std::vector<Tap> taps_;
 
     Cycle now_{};
     Cycle measured_start_{};
@@ -257,13 +230,12 @@ class Gpu
     std::uint64_t last_progress_sig_ = 0;
     Cycle last_progress_cycle_{};
 
-    // Crash-safety state.
-    RunControl *run_control_ = nullptr; // SNAPSHOT-SKIP(owned by the supervising caller)
-    std::optional<GpuSnapshot> last_checkpoint_; // SNAPSHOT-SKIP(checkpoint artifact, not machine state)
+    // Cancellation / budget control (owned by the supervising caller).
+    RunControl *run_control_ = nullptr;
 
     // Cycle-cost profiling (observation only, never machine state).
-    Profiler *cost_prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the owner)
-    std::unique_ptr<Profiler> owned_prof_; // SNAPSHOT-SKIP(CKESIM_PROF convenience instance)
+    Profiler *cost_prof_ = nullptr;
+    std::unique_ptr<Profiler> owned_prof_; // CKESIM_PROF convenience instance
 };
 
 /** Convenience: a standard spec for a named scheme combination. */

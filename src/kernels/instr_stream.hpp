@@ -16,7 +16,6 @@
 
 #include "kernels/profile.hpp"
 #include "sim/rng.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -55,45 +54,11 @@ class InstrStream
 
     int executed() const { return executed_; }
 
-    /** Serialize generator state (the profile pointer is rebound by
-     *  the owning SM on restore, keyed by the warp's kernel). */
-    void
-    snapshot(SnapshotWriter &w) const
-    {
-        const Rng::State st = rng_.state();
-        w.u64(st.s0);
-        w.u64(st.s1);
-        w.i64(budget_);
-        w.i64(executed_);
-        w.i64(burst_left_);
-        w.u8(static_cast<std::uint8_t>(next_kind_));
-    }
-
-    /** Inverse of snapshot(). @p prof may be nullptr for a warp slot
-     *  whose stream will be reset() before its next use. */
-    void
-    restore(SnapshotReader &r, const KernelProfile *prof)
-    {
-        prof_ = prof;
-        Rng::State st;
-        st.s0 = r.u64();
-        st.s1 = r.u64();
-        rng_.setState(st);
-        budget_ = static_cast<int>(r.i64());
-        executed_ = static_cast<int>(r.i64());
-        burst_left_ = static_cast<int>(r.i64());
-        next_kind_ = static_cast<InstrKind>(r.u8());
-    }
-
-    /** Rebind the profile after restore (the owner knows the warp's
-     *  kernel only once the warp record has been read). */
-    void rebindProfile(const KernelProfile *prof) { prof_ = prof; }
-
   private:
     void computeNext();
     int drawBurst();
 
-    const KernelProfile *prof_ = nullptr; // SNAPSHOT-SKIP(rebound by owning SM on restore)
+    const KernelProfile *prof_ = nullptr;
     Rng rng_{1};
     int budget_ = 0;
     int executed_ = 0;

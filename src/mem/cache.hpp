@@ -20,9 +20,6 @@
 
 namespace ckesim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** State of one cache line. */
 struct CacheLine
 {
@@ -115,12 +112,6 @@ class CacheArray
     /** Number of valid lines currently owned by @p kernel. */
     int occupancyOf(KernelId kernel) const;
 
-    /** Serialize tag/state/LRU and way restrictions (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into an array of identical geometry. */
-    void restore(SnapshotReader &r);
-
   private:
     std::size_t idx(int set, int way) const
     {
@@ -131,8 +122,8 @@ class CacheArray
 
     bool wayAllowed(KernelId kernel, int way) const;
 
-    int num_sets_; // SNAPSHOT-SKIP(fixed at construction)
-    int assoc_;    // SNAPSHOT-SKIP(fixed at construction)
+    int num_sets_;
+    int assoc_;
     std::vector<CacheLine> sets_;
     std::uint64_t tick_ = 0;
 

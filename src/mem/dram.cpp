@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -117,57 +116,6 @@ DramChannel::drainFills(Cycle now, std::vector<MemRequest> &out)
         out.push_back(fills_.front().req);
         fills_.pop_front();
     }
-}
-
-void
-DramChannel::snapshot(SnapshotWriter &w) const
-{
-    w.section("dram_channel");
-    queue_.snapshot(w, [](SnapshotWriter &sw, const Txn &t) {
-        snapshotMemRequest(sw, t.req);
-        sw.i64(t.bank);
-        sw.u64(t.row);
-        sw.unit(t.arrival);
-    });
-    w.vecU64(open_row_);
-    w.unit(busy_until_);
-    fills_.snapshot(w, [](SnapshotWriter &sw, const Fill &f) {
-        sw.unit(f.ready);
-        snapshotMemRequest(sw, f.req);
-    });
-    w.u64(row_hits_);
-    w.u64(row_misses_);
-}
-
-void
-DramChannel::restore(SnapshotReader &r)
-{
-    r.section("dram_channel");
-    queue_.restore(r, [](SnapshotReader &sr) {
-        Txn t;
-        t.req = restoreMemRequest(sr);
-        t.bank = static_cast<int>(sr.i64());
-        t.row = sr.u64();
-        t.arrival = sr.unit<Cycle>();
-        return t;
-    });
-    std::vector<std::uint64_t> rows = r.vecU64();
-    SimCtx ctx;
-    ctx.module = "dram";
-    SIM_CHECK(rows.size() == open_row_.size(), ctx,
-              "snapshot holds " << rows.size()
-                                << " bank rows, channel has "
-                                << open_row_.size());
-    open_row_ = std::move(rows);
-    busy_until_ = r.unit<Cycle>();
-    fills_.restore(r, [](SnapshotReader &sr) {
-        Fill f;
-        f.ready = sr.unit<Cycle>();
-        f.req = restoreMemRequest(sr);
-        return f;
-    });
-    row_hits_ = r.u64();
-    row_misses_ = r.u64();
 }
 
 } // namespace ckesim

@@ -22,9 +22,6 @@
 
 namespace ckesim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** One DRAM channel. */
 class DramChannel
 {
@@ -72,12 +69,6 @@ class DramChannel
     /** Occupancy-bound invariants (integrity sweep). */
     void checkInvariants(Cycle now, int channel_index) const;
 
-    /** Serialize queue, open rows, busy timer and pending fills. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a channel of identical configuration. */
-    void restore(SnapshotReader &r);
-
     /** Row-buffer hit-rate observed so far (diagnostics). */
     double rowHitRate() const
     {
@@ -104,8 +95,8 @@ class DramChannel
     int bankOf(LineAddr line_addr) const;
     std::uint64_t rowOf(LineAddr line_addr) const;
 
-    DramConfig cfg_; // SNAPSHOT-SKIP(fixed at construction)
-    int line_bytes_; // SNAPSHOT-SKIP(fixed at construction)
+    DramConfig cfg_;
+    int line_bytes_;
     RingBuf<Txn> queue_; ///< flat hot queue (DESIGN.md §14)
     std::vector<std::uint64_t> open_row_; ///< per bank; ~0 = closed
     Cycle busy_until_{};

@@ -1,7 +1,6 @@
 #include "mem/interconnect.hpp"
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -38,42 +37,6 @@ Crossbar::drain(int dest, Cycle now, int max_count,
         out.push_back(port.queue.front().req);
         port.queue.pop_front();
         ++popped;
-    }
-}
-
-void
-Crossbar::snapshot(SnapshotWriter &w) const
-{
-    w.section("crossbar");
-    w.u64(ports_.size());
-    for (const Port &port : ports_) {
-        w.unit(port.next_free);
-        port.queue.snapshot(w, [](SnapshotWriter &sw,
-                                  const Packet &p) {
-            sw.unit(p.ready);
-            snapshotMemRequest(sw, p.req);
-        });
-    }
-}
-
-void
-Crossbar::restore(SnapshotReader &r)
-{
-    r.section("crossbar");
-    const std::uint64_t n = r.u64();
-    SimCtx ctx;
-    ctx.module = "icnt";
-    SIM_CHECK(n == ports_.size(), ctx,
-              "snapshot holds " << n << " crossbar ports, model has "
-                                << ports_.size());
-    for (Port &port : ports_) {
-        port.next_free = r.unit<Cycle>();
-        port.queue.restore(r, [](SnapshotReader &sr) {
-            Packet p;
-            p.ready = sr.unit<Cycle>();
-            p.req = restoreMemRequest(sr);
-            return p;
-        });
     }
 }
 

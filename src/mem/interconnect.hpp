@@ -63,12 +63,6 @@ class Crossbar
 
     int numDests() const { return static_cast<int>(ports_.size()); }
 
-    /** Serialize every port's queue and wire timer. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a crossbar of identical geometry. */
-    void restore(SnapshotReader &r);
-
   private:
     struct Packet
     {
@@ -81,7 +75,7 @@ class Crossbar
         Cycle next_free{};     ///< when the port's wire frees up
     };
 
-    IcntConfig cfg_; // SNAPSHOT-SKIP(fixed at construction)
+    IcntConfig cfg_;
     std::vector<Port> ports_;
 };
 

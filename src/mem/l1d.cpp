@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -198,84 +197,6 @@ L1Dcache::checkInvariants(Cycle now) const
                   "per-kernel MSHR holdings sum "
                       << held_total << " != MSHRs in use "
                       << mshrs_.size());
-}
-
-void
-L1Dcache::snapshot(SnapshotWriter &w) const
-{
-    w.section("l1d");
-    tags_.snapshot(w);
-    mshrs_.snapshot(w, [](SnapshotWriter &sw, const L1Target &t) {
-        sw.id(t.warp_slot);
-        sw.id(t.kernel);
-    });
-    miss_queue_.snapshot(w, [](SnapshotWriter &sw,
-                               const MemRequest &req) {
-        snapshotMemRequest(sw, req);
-    });
-    w.u64(mshr_quota_.size());
-    for (int q : mshr_quota_)
-        w.i64(q);
-    w.u64(mshr_held_.size());
-    for (int h : mshr_held_)
-        w.i64(h);
-    // Per-miss owners, derived from the MSHR entries' first targets,
-    // in sorted line order — byte-identical to the owner map the
-    // pre-§14 format serialized here.
-    std::vector<std::pair<LineAddr, KernelId>> owners;
-    owners.reserve(static_cast<std::size_t>(mshrs_.size()));
-    mshrs_.forEach([&owners](LineAddr line,
-                             const std::vector<L1Target> &targets) {
-        owners.emplace_back(line, targets.front().kernel);
-    });
-    std::sort(owners.begin(), owners.end());
-    w.u64(owners.size());
-    for (const auto &[line_number, owner] : owners) {
-        w.unit(line_number);
-        w.id(owner);
-    }
-    w.vecBool(bypass_);
-}
-
-void
-L1Dcache::restore(SnapshotReader &r)
-{
-    r.section("l1d");
-    tags_.restore(r);
-    mshrs_.restore(r, [](SnapshotReader &sr) {
-        L1Target t;
-        t.warp_slot = sr.id<WarpSlot>();
-        t.kernel = sr.id<KernelId>();
-        return t;
-    });
-    miss_queue_.restore(
-        r, [](SnapshotReader &sr) { return restoreMemRequest(sr); });
-    const std::uint64_t nquota = r.u64();
-    mshr_quota_.assign(static_cast<std::size_t>(nquota), 0);
-    for (int &q : mshr_quota_)
-        q = static_cast<int>(r.i64());
-    const std::uint64_t nheld = r.u64();
-    mshr_held_.assign(static_cast<std::size_t>(nheld), 0);
-    for (int &h : mshr_held_)
-        h = static_cast<int>(r.i64());
-    // Owners are derived state now; read the pairs the format still
-    // carries and verify them against the restored MSHR entries.
-    const SimCtx ctx = l1dCtx(sm_id_);
-    const std::uint64_t nowner = r.u64();
-    SIM_CHECK(nowner == static_cast<std::uint64_t>(mshrs_.size()), ctx,
-              "snapshot holds " << nowner
-                                << " miss owners, MSHR table has "
-                                << mshrs_.size());
-    for (std::uint64_t i = 0; i < nowner; ++i) {
-        const LineAddr line_number = r.unit<LineAddr>();
-        const KernelId kernel = r.id<KernelId>();
-        SIM_CHECK(mshrs_.firstTarget(line_number).kernel == kernel,
-                  ctx,
-                  "snapshot miss owner for line "
-                      << line_number << " (" << kernel
-                      << ") disagrees with MSHR first target");
-    }
-    bypass_ = r.vecBool();
 }
 
 void

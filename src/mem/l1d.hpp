@@ -172,12 +172,6 @@ class L1Dcache
     /** Drained-state check for Gpu::audit(): nothing outstanding. */
     void checkDrained(Cycle now) const;
 
-    /** Serialize tags, MSHRs, miss queue and quota state. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a cache of identical configuration. */
-    void restore(SnapshotReader &r);
-
   private:
     bool bypassed(KernelId kernel) const
     {
@@ -185,8 +179,8 @@ class L1Dcache
     }
     bool mshrQuotaExceeded(KernelId kernel) const;
 
-    L1dConfig cfg_; // SNAPSHOT-SKIP(fixed at construction)
-    SmId sm_id_;    // SNAPSHOT-SKIP(fixed at construction)
+    L1dConfig cfg_;
+    SmId sm_id_;
     CacheArray tags_;
     MshrTable<L1Target> mshrs_;
     RingBuf<MemRequest> miss_queue_;

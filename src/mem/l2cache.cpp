@@ -1,7 +1,6 @@
 #include "mem/l2cache.hpp"
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -176,44 +175,6 @@ L2Partition::drainReplies(Cycle now, std::vector<MemRequest> &out)
         out.push_back(replies_.front().req);
         replies_.pop_front();
     }
-}
-
-void
-L2Partition::snapshot(SnapshotWriter &w) const
-{
-    w.section("l2_partition");
-    tags_.snapshot(w);
-    mshrs_.snapshot(w, [](SnapshotWriter &sw, const MemRequest &req) {
-        snapshotMemRequest(sw, req);
-    });
-    input_.snapshot(w, [](SnapshotWriter &sw, const MemRequest &req) {
-        snapshotMemRequest(sw, req);
-    });
-    replies_.snapshot(w, [](SnapshotWriter &sw, const Reply &rep) {
-        sw.unit(rep.ready);
-        snapshotMemRequest(sw, rep.req);
-    });
-    w.u64(accesses_);
-    w.u64(misses_);
-}
-
-void
-L2Partition::restore(SnapshotReader &r)
-{
-    r.section("l2_partition");
-    tags_.restore(r);
-    mshrs_.restore(r,
-                   [](SnapshotReader &sr) { return restoreMemRequest(sr); });
-    input_.restore(
-        r, [](SnapshotReader &sr) { return restoreMemRequest(sr); });
-    replies_.restore(r, [](SnapshotReader &sr) {
-        Reply rep;
-        rep.ready = sr.unit<Cycle>();
-        rep.req = restoreMemRequest(sr);
-        return rep;
-    });
-    accesses_ = r.u64();
-    misses_ = r.u64();
 }
 
 } // namespace ckesim

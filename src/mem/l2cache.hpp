@@ -85,12 +85,6 @@ class L2Partition
     /** Occupancy-bound and MSHR-ledger invariants (integrity sweep). */
     void checkInvariants(Cycle now) const;
 
-    /** Serialize tags, MSHRs, input queue and pending replies. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a partition of identical configuration. */
-    void restore(SnapshotReader &r);
-
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     double missRate() const
@@ -107,8 +101,8 @@ class L2Partition
         MemRequest req;
     };
 
-    L2Config cfg_;        // SNAPSHOT-SKIP(fixed at construction)
-    int partition_index_; // SNAPSHOT-SKIP(fixed at construction)
+    L2Config cfg_;
+    int partition_index_;
     CacheArray tags_;
     MshrTable<MemRequest> mshrs_;
     RingBuf<MemRequest> input_; ///< flat hot queue (DESIGN.md §14)
@@ -116,7 +110,7 @@ class L2Partition
      *  target plus a latency window of hits, all awaiting drain. */
     RingBuf<Reply> replies_;
     /** Reused by onDramFill(). */
-    std::vector<MemRequest> fill_targets_; // SNAPSHOT-SKIP(scratch; dead between fills)
+    std::vector<MemRequest> fill_targets_; // scratch; dead between fills
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -106,14 +106,8 @@ class MemorySystem
     /** Multi-line occupancy dump for watchdog diagnostics. */
     std::string describeState() const;
 
-    /** Serialize every component below the L1s plus the ledger. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a memory system of identical configuration. */
-    void restore(SnapshotReader &r);
-
   private:
-    GpuConfig cfg_;  // SNAPSHOT-SKIP(fixed at construction)
+    GpuConfig cfg_;
     Crossbar fwd_;   ///< SM -> partition
     Crossbar reply_; ///< partition -> SM
     std::vector<std::unique_ptr<L2Partition>> partitions_;
@@ -131,9 +125,9 @@ class MemorySystem
     // HOTPATH-ALLOW(fault-injection only; untouched on fault-free runs)
     std::vector<std::deque<DelayedFill>> delayed_;
     /** Reused by tick() for per-partition drains. */
-    std::vector<MemRequest> tick_scratch_; // SNAPSHOT-SKIP(scratch; dead between drains)
-    FaultInjector *faults_ = nullptr; // SNAPSHOT-SKIP(rebound by owner; injector state snapshotted by Gpu)
-    Profiler *prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the Gpu)
+    std::vector<MemRequest> tick_scratch_; // scratch; dead between drains
+    FaultInjector *faults_ = nullptr;
+    Profiler *prof_ = nullptr;
     std::uint64_t inflight_ = 0; ///< read requests below the L1s
     std::uint64_t injected_reads_ = 0;
     std::uint64_t injected_writes_ = 0;

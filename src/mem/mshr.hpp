@@ -18,13 +18,11 @@
 #ifndef CKESIM_MEM_MSHR_HPP
 #define CKESIM_MEM_MSHR_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -237,67 +235,6 @@ class MshrTable
                                         << capacity_);
     }
 
-    // ---- checkpointing --------------------------------------------------
-    /**
-     * Serialize outstanding entries in sorted key order (slot order
-     * depends on insertion history and must never reach the
-     * payload). @p write_target emits one Target: (writer, target).
-     */
-    template <typename WriteTarget>
-    void
-    snapshot(SnapshotWriter &w, const WriteTarget &write_target) const
-    {
-        w.section("mshr");
-        std::vector<LineAddr> keys;
-        keys.reserve(static_cast<std::size_t>(size_));
-        for (const Slot &s : slots_)
-            if (s.used)
-                keys.push_back(s.line);
-        std::sort(keys.begin(), keys.end());
-        w.u64(keys.size());
-        for (LineAddr key : keys) {
-            const std::size_t i = findSlot(key);
-            const std::vector<Target> &targets = slots_[i].targets;
-            w.unit(key);
-            w.u64(targets.size());
-            for (const Target &t : targets)
-                write_target(w, t);
-        }
-        w.u64(allocated_);
-        w.u64(released_);
-    }
-
-    /** Inverse of snapshot(); @p read_target parses one Target. */
-    template <typename ReadTarget>
-    void
-    restore(SnapshotReader &r, const ReadTarget &read_target)
-    {
-        for (Slot &s : slots_) {
-            s.used = false;
-            s.targets.clear();
-        }
-        size_ = 0;
-        r.section("mshr");
-        const std::uint64_t n = r.u64();
-        SIM_CHECK(n <= static_cast<std::uint64_t>(capacity_), ctx_,
-                  "snapshot holds " << n << " MSHR entries, capacity "
-                                    << capacity_);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const LineAddr key = r.unit<LineAddr>();
-            const std::uint64_t m = r.u64();
-            SIM_CHECK(m >= 1, ctx_,
-                      "snapshot MSHR entry for line "
-                          << key << " has no targets");
-            Target first = read_target(r);
-            allocate(key, std::move(first));
-            --allocated_; // allocate() ledger bump; totals restored below
-            for (std::uint64_t j = 1; j < m; ++j)
-                merge(key, read_target(r));
-        }
-        allocated_ = r.u64();
-        released_ = r.u64();
-    }
-
   private:
     struct Slot
     {
@@ -357,15 +294,15 @@ class MshrTable
         slots_[hole].targets.clear();
     }
 
-    int capacity_;  // SNAPSHOT-SKIP(fixed at construction)
-    int max_merge_; // SNAPSHOT-SKIP(fixed at construction)
+    int capacity_;
+    int max_merge_;
     std::vector<Slot> slots_; ///< open-addressing flat table
-    std::size_t mask_ = 0;    // SNAPSHOT-SKIP(fixed at construction)
-    int shift_ = 0;           // SNAPSHOT-SKIP(fixed at construction)
+    std::size_t mask_ = 0;
+    int shift_ = 0;
     int size_ = 0;            ///< outstanding entries
     std::uint64_t allocated_ = 0;
     std::uint64_t released_ = 0;
-    SimCtx ctx_; // SNAPSHOT-SKIP(diagnostic context, rebound by owner)
+    SimCtx ctx_;
 };
 
 } // namespace ckesim

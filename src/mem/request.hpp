@@ -7,7 +7,6 @@
 #ifndef CKESIM_MEM_REQUEST_HPP
 #define CKESIM_MEM_REQUEST_HPP
 
-#include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -28,30 +27,6 @@ struct MemRequest
     ReqKind kind = ReqKind::ReadMiss;
     Cycle birth{};                    ///< cycle the L1D emitted it
 };
-
-/** Serialize one request (sim/snapshot checkpoint payloads). */
-inline void
-snapshotMemRequest(SnapshotWriter &w, const MemRequest &req)
-{
-    w.unit(req.line_addr);
-    w.id(req.sm_id);
-    w.id(req.kernel);
-    w.u8(static_cast<std::uint8_t>(req.kind));
-    w.unit(req.birth);
-}
-
-/** Inverse of snapshotMemRequest(). */
-inline MemRequest
-restoreMemRequest(SnapshotReader &r)
-{
-    MemRequest req;
-    req.line_addr = r.unit<LineAddr>();
-    req.sm_id = r.id<SmId>();
-    req.kernel = r.id<KernelId>();
-    req.kind = static_cast<ReqKind>(r.u8());
-    req.birth = r.unit<Cycle>();
-    return req;
-}
 
 } // namespace ckesim
 

@@ -1,7 +1,5 @@
 #include "sim/config.hpp"
 
-#include <sstream>
-
 #include "sim/check.hpp"
 
 namespace ckesim {
@@ -141,26 +139,10 @@ GpuConfig::validate() const
                        "integrity.watchdog_timeout");
     requirePositive(integrity.audit_drain_limit,
                     "integrity.audit_drain_limit");
-    requireNonNegative(integrity.checkpoint_interval,
-                       "integrity.checkpoint_interval");
     if (integrity.watchdog_timeout > 0 &&
         integrity.watchdog_timeout < integrity.check_interval)
         configFail("integrity.watchdog_timeout",
                    "must be >= check_interval or 0 (disabled)");
-}
-
-std::string
-GpuConfig::digest() const
-{
-    std::ostringstream os;
-    os << "sms" << num_sms
-       << "_sch" << sm.num_schedulers
-       << (sm.sched_policy == SchedPolicy::GTO ? "gto" : "lrr")
-       << "_l1d" << l1d.size_bytes / 1024 << "k" << l1d.assoc << "w"
-       << "m" << l1d.num_mshrs << "q" << l1d.miss_queue_depth
-       << "_l2p" << numL2Partitions()
-       << "_seed" << seed;
-    return os.str();
 }
 
 GpuConfig

@@ -121,11 +121,6 @@ struct IntegrityConfig
     /** Max extra drain cycles Gpu::audit() spends reaching
      *  quiescence before declaring a leak. */
     int audit_drain_limit = 100000;
-    /** Cycles between automatic checkpoints taken by the run loop
-     *  (sim/snapshot.hpp); 0 disables auto-checkpointing. Does not
-     *  affect simulated state or results, so it is deliberately
-     *  excluded from SimJob content hashes. */
-    int checkpoint_interval = 0;
 };
 
 /**
@@ -149,9 +144,6 @@ struct GpuConfig
 
     /** Global RNG seed for procedural workloads. */
     std::uint64_t seed = 0xc0ffee;
-
-    /** A short human-readable digest for cache keys / logs. */
-    std::string digest() const;
 
     /**
      * Reject nonsensical configurations with a structured SimError

@@ -1,7 +1,6 @@
 #include "sim/fault.hpp"
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -80,33 +79,6 @@ FaultInjector::anyFired() const
         if (n > 0)
             return true;
     return false;
-}
-
-void
-FaultInjector::snapshot(SnapshotWriter &w) const
-{
-    w.section("fault_injector");
-    w.u64(faults_.size());
-    for (const FaultSpec &f : faults_)
-        w.i64(f.budget);
-    for (std::uint64_t n : fired_)
-        w.u64(n);
-}
-
-void
-FaultInjector::restore(SnapshotReader &r)
-{
-    r.section("fault_injector");
-    const std::uint64_t n = r.u64();
-    SimCtx ctx;
-    ctx.module = "fault";
-    SIM_CHECK(n == faults_.size(), ctx,
-              "snapshot holds " << n << " fault specs, injector has "
-                                << faults_.size());
-    for (FaultSpec &f : faults_)
-        f.budget = static_cast<int>(r.i64());
-    for (std::uint64_t &c : fired_)
-        c = r.u64();
 }
 
 void

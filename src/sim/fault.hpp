@@ -25,9 +25,6 @@
 
 namespace ckesim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** What to break, and where in the pipeline it bites. */
 enum class FaultKind {
     None = 0,
@@ -99,13 +96,6 @@ class FaultInjector
 
     /** Any fault fired at all (audit exempts faulted runs). */
     bool anyFired() const;
-
-    /** Serialize mutable state (per-spec budgets, fired counters). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore mutable state; the spec list itself is configuration
-     *  and must match what was captured. */
-    void restore(SnapshotReader &r);
 
   private:
     /** Find an armed spec of @p kind covering (@p target, @p now);

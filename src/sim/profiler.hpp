@@ -37,7 +37,7 @@ namespace ckesim {
 
 /** Components the strict stepping loop spends its time in. */
 enum class ProfComp : int {
-    Scheme,    ///< per-cycle scheme bookkeeping (UCP, DMIL, checkpoints)
+    Scheme,    ///< per-cycle scheme bookkeeping (UCP, DMIL, profiling end)
     SmIssue,   ///< SM front end: dispatch, schedulers, issue, wakes
     Lsu,       ///< LSU queue service (excluding the L1D probe itself)
     L1d,       ///< L1D accesses and fill processing

@@ -15,9 +15,6 @@
  *  - FIFO deque subset: push_back / pop_front / front / back /
  *    operator[] / eraseAt (order-preserving, for FR-FCFS picks).
  *  - Iteration visits elements oldest-first, exactly like std::deque.
- *  - snapshot()/restore() serialize as (u64 count, elements in FIFO
- *    order) — byte-identical to the std::deque loops they replaced,
- *    so pre-existing snapshot fingerprints are preserved.
  */
 
 #ifndef CKESIM_SIM_RINGBUF_HPP
@@ -30,7 +27,6 @@
 #include <vector>
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -175,38 +171,6 @@ class RingBuf
     iterator end() { return iterator(this, size_); }
     const_iterator begin() const { return const_iterator(this, 0); }
     const_iterator end() const { return const_iterator(this, size_); }
-
-    // ---- checkpointing --------------------------------------------------
-    /**
-     * Serialize as (u64 count, elements oldest-first) — the exact
-     * byte layout of the std::deque loops this type replaced.
-     * @p write_elem emits one element: (writer, element).
-     */
-    template <typename WriteElem>
-    void
-    snapshot(SnapshotWriter &w, const WriteElem &write_elem) const
-    {
-        w.u64(size_);
-        for (std::size_t i = 0; i < size_; ++i)
-            write_elem(w, data_[slot(i)]);
-    }
-
-    /** Inverse of snapshot(); @p read_elem parses one element. */
-    template <typename ReadElem>
-    void
-    restore(SnapshotReader &r, const ReadElem &read_elem)
-    {
-        clear();
-        const std::uint64_t n = r.u64();
-        SimCtx ctx;
-        ctx.module = "ringbuf";
-        SIM_CHECK(n <= static_cast<std::uint64_t>(cap_), ctx,
-                  "snapshot holds " << n
-                                    << " elements, ring capacity is "
-                                    << cap_);
-        for (std::uint64_t i = 0; i < n; ++i)
-            push_back(read_elem(r));
-    }
 
   private:
     std::size_t

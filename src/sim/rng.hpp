@@ -70,28 +70,9 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Raw generator state, for checkpointing (sim/snapshot). */
-    struct State
-    {
-        std::uint64_t s0 = 0;
-        std::uint64_t s1 = 0;
-    };
-
-    State state() const { return State{s0_, s1_}; }
-
-    /** Restore a previously captured state verbatim. */
-    void
-    setState(State st)
-    {
-        s0_ = st.s0;
-        s1_ = st.s1;
-        if (s0_ == 0 && s1_ == 0)
-            s1_ = 1;
-    }
-
   private:
-    std::uint64_t s0_;
-    std::uint64_t s1_;
+    std::uint64_t s0_ = 0;
+    std::uint64_t s1_ = 0;
 };
 
 } // namespace ckesim

@@ -13,8 +13,6 @@ SnapshotWriter::raw(const void *p, std::size_t n)
 {
     const auto *b = static_cast<const std::uint8_t *>(p);
     buf_.insert(buf_.end(), b, b + n);
-    for (std::size_t i = 0; i < n; ++i)
-        fp_ = (fp_ ^ b[i]) * 0x100000001b3ULL;
 }
 
 void
@@ -73,7 +71,7 @@ SnapshotWriter::boolean(bool v)
 void
 SnapshotWriter::f64(double v)
 {
-    // Bit pattern, never text: restore must be exact for every value
+    // Bit pattern, never text: decoding must be exact for every value
     // including -0.0, subnormals, and NaN payloads.
     tag(SnapTag::F64);
     std::uint64_t u = 0;
@@ -116,14 +114,6 @@ SnapshotWriter::vecU64(const std::vector<std::uint64_t> &v)
     u64(v.size());
     for (std::uint64_t x : v)
         u64(x);
-}
-
-void
-SnapshotWriter::vecBool(const std::vector<bool> &v)
-{
-    u64(v.size());
-    for (bool x : v)
-        boolean(x);
 }
 
 // ---- SnapshotReader -----------------------------------------------
@@ -261,19 +251,6 @@ SnapshotReader::vecU64()
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i)
         v.push_back(u64());
-    return v;
-}
-
-std::vector<bool>
-SnapshotReader::vecBool()
-{
-    const std::uint64_t n = u64();
-    if (n > bytes_->size())
-        fail("vector length implausibly large");
-    std::vector<bool> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(boolean());
     return v;
 }
 

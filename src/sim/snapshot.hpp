@@ -1,29 +1,30 @@
 /**
  * @file
- * Versioned, deterministic binary codec for GPU state checkpoints.
+ * Versioned, deterministic binary codec for the results journal
+ * (metrics/journal) and the campaign wire (campaign/wire).
  *
- * A checkpoint must satisfy two properties that ordinary serialization
- * does not guarantee: (1) restore(snapshot(t)) followed by run must be
- * bit-identical to the uninterrupted run — so every byte written is a
- * pure function of simulator state, never of host iteration order or
- * wall time; and (2) a corrupted or version-skewed blob must fail
- * loudly at decode time, never produce a silently wrong simulation.
+ * Two properties ordinary serialization does not guarantee: (1) every
+ * byte written is a pure function of the encoded values, never of
+ * host iteration order or wall time, so a journal replay reproduces
+ * the uninterrupted run's tables byte for byte; and (2) a corrupted
+ * or version-skewed record fails loudly at decode time, never as a
+ * silently wrong result.
  *
  * The encoding is a flat tagged stream: every value is prefixed with a
- * one-byte type tag, and components bracket their state in named
+ * one-byte type tag, and payloads bracket their fields in named
  * sections. A reader that drifts out of alignment (a field added on
- * one side only, a truncated file) hits a tag or section-name mismatch
- * within a few bytes and throws a SimError of kind "Snapshot" with the
- * offset. The writer maintains a running FNV-1a fingerprint over the
- * payload; two checkpoints are equal iff their fingerprints are.
+ * one side only, a truncated record) hits a tag or section-name
+ * mismatch within a few bytes and throws a SimError of kind
+ * "Snapshot" with the offset. Integrity of stored bytes is the
+ * container's job (the journal CRCs every record, the wire every
+ * frame).
  *
  * Format rules (see DESIGN.md section 11):
  *  - kSnapshotFormatVersion (sim/types.hpp) must be bumped on any
- *    change to what is serialized or how; there is no migration.
+ *    change to what a journal record holds or how it is encoded;
+ *    there is no migration;
  *  - unordered containers are serialized in sorted key order;
- *  - doubles are serialized by bit pattern, never formatted;
- *  - pointers are never serialized — restore re-binds them from the
- *    reconstructed object graph.
+ *  - doubles are serialized by bit pattern, never formatted.
  */
 
 #ifndef CKESIM_SIM_SNAPSHOT_HPP
@@ -51,9 +52,9 @@ enum class SnapTag : std::uint8_t {
 };
 
 /**
- * Append-only typed encoder with a running content fingerprint.
- * All append operations are deterministic functions of their
- * arguments; the resulting byte vector is the checkpoint payload.
+ * Append-only typed encoder. All append operations are deterministic
+ * functions of their arguments; the resulting byte vector is the
+ * record payload.
  */
 class SnapshotWriter
 {
@@ -87,14 +88,8 @@ class SnapshotWriter
         u64(static_cast<std::uint64_t>(v.get()));
     }
 
-    /** Length-prefixed vector of u64 (stats arrays, series bins). */
+    /** Length-prefixed vector of u64 (series bins). */
     void vecU64(const std::vector<std::uint64_t> &v);
-
-    /** Length-prefixed vector<bool> (bypass masks). */
-    void vecBool(const std::vector<bool> &v);
-
-    /** FNV-1a over every byte appended so far. */
-    std::uint64_t fingerprint() const { return fp_; }
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
 
@@ -105,7 +100,6 @@ class SnapshotWriter
     void raw(const void *p, std::size_t n);
 
     std::vector<std::uint8_t> buf_;
-    std::uint64_t fp_ = 0xcbf29ce484222325ULL;
 };
 
 /**
@@ -147,12 +141,9 @@ class SnapshotReader
     }
 
     std::vector<std::uint64_t> vecU64();
-    std::vector<bool> vecBool();
 
-    /** Entire payload consumed? restore() asserts this at the end. */
+    /** Entire payload consumed? Decoders assert this at the end. */
     bool atEnd() const { return pos_ == bytes_->size(); }
-
-    std::size_t offset() const { return pos_; }
 
   private:
     void expect(SnapTag t);
@@ -161,24 +152,6 @@ class SnapshotReader
 
     const std::vector<std::uint8_t> *bytes_;
     std::size_t pos_ = 0;
-};
-
-/**
- * A complete GPU checkpoint: the versioned payload plus enough
- * metadata to refuse restoration into the wrong simulation.
- */
-struct GpuSnapshot
-{
-    /** Format version at capture time (= kSnapshotFormatVersion). */
-    std::uint32_t version = 0;
-    /** Simulated time at capture. */
-    Cycle cycle{};
-    /** FNV-1a fingerprint of @ref bytes. */
-    std::uint64_t fingerprint = 0;
-    /** GpuConfig::digest() of the owning simulation. */
-    std::uint64_t config_digest = 0;
-    /** The encoded state. */
-    std::vector<std::uint8_t> bytes;
 };
 
 } // namespace ckesim

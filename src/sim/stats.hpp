@@ -131,7 +131,7 @@ std::uint64_t fingerprint(const KernelStats &s,
 std::uint64_t fingerprint(const SmStats &s,
                           std::uint64_t seed = 0xcbf29ce484222325ULL);
 
-/** Serialize/restore every counter (checkpoints + results journal). */
+/** Encode/decode every counter (results journal records). */
 void snapshotKernelStats(SnapshotWriter &w, const KernelStats &s);
 KernelStats restoreKernelStats(SnapshotReader &r);
 void snapshotSmStats(SnapshotWriter &w, const SmStats &s);

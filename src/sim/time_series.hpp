@@ -53,7 +53,7 @@ class TimeSeries
 
     void clear() { bins_.clear(); }
 
-    /** Replace all bins verbatim (checkpoint restore, journal load). */
+    /** Replace all bins verbatim (journal load). */
     void setBins(std::vector<std::uint64_t> bins) { bins_ = std::move(bins); }
 
   private:

@@ -290,12 +290,13 @@ inline constexpr Cycle kNeverCycle = Cycle::max();
 inline constexpr int kMaxKernelsPerSm = 4;
 
 /**
- * On-disk/in-memory snapshot format version (sim/snapshot.hpp).
- * Bump on ANY change to what Gpu::snapshot() serializes or how:
- * adding/removing/reordering a field, changing a type tag, changing
- * the fingerprint algorithm. restore() refuses mismatched versions
- * outright — there is no cross-version migration; checkpoints are
- * cheap to regenerate, silent misdecodes are not.
+ * Record format version of the results journal (metrics/journal),
+ * encoded with the sim/snapshot.hpp codec. Bump on ANY change to what
+ * a journal record holds or how: adding/removing/reordering a field,
+ * changing a type tag. Loading refuses a journal of another version
+ * outright — there is no cross-version migration; results are cheap
+ * to recompute, silent misdecodes are not. Bumping it makes every
+ * existing journal foreign.
  */
 inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 

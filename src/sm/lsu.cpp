@@ -1,7 +1,6 @@
 #include "sm/lsu.hpp"
 
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -69,45 +68,6 @@ Lsu::tick(Cycle now, L1Dcache &l1d, LsuHost &host)
         host.lsuEntryDrained(warp_slot, kernel, is_store);
     }
     return false;
-}
-
-void
-Lsu::snapshot(SnapshotWriter &w) const
-{
-    w.section("lsu");
-    queue_.snapshot(w, [](SnapshotWriter &sw, const Entry &e) {
-        sw.id(e.warp_slot);
-        sw.id(e.kernel);
-        sw.boolean(e.is_store);
-        sw.u64(e.lines.size());
-        for (const LineAddr line : e.lines)
-            sw.unit(line);
-        sw.u64(e.next);
-    });
-}
-
-void
-Lsu::restore(SnapshotReader &r)
-{
-    r.section("lsu");
-    SimCtx ctx;
-    ctx.sm_id = sm_id_;
-    ctx.module = "lsu";
-    queue_.restore(r, [&ctx](SnapshotReader &sr) {
-        Entry e;
-        e.warp_slot = sr.id<WarpSlot>();
-        e.kernel = sr.id<KernelId>();
-        e.is_store = sr.boolean();
-        const std::uint64_t lines = sr.u64();
-        e.lines.reserve(static_cast<std::size_t>(lines));
-        for (std::uint64_t j = 0; j < lines; ++j)
-            e.lines.push_back(sr.unit<LineAddr>());
-        e.next = static_cast<std::size_t>(sr.u64());
-        SIM_CHECK(e.next <= e.lines.size(), ctx,
-                  "LSU entry cursor " << e.next << " past line count "
-                                      << e.lines.size());
-        return e;
-    });
 }
 
 } // namespace ckesim

@@ -75,12 +75,6 @@ class Lsu
     /** Attach a cycle-cost profiler (nullptr detaches). */
     void setProfiler(Profiler *prof) { prof_ = prof; }
 
-    /** Serialize the queue (entries, line lists, progress cursors). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into an LSU of identical configuration. */
-    void restore(SnapshotReader &r);
-
   private:
     struct Entry
     {
@@ -91,10 +85,10 @@ class Lsu
         std::size_t next = 0;
     };
 
-    int depth_;       // SNAPSHOT-SKIP(fixed at construction)
-    int hit_latency_; // SNAPSHOT-SKIP(fixed at construction)
-    SmId sm_id_;      // SNAPSHOT-SKIP(fixed at construction)
-    Profiler *prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the Sm)
+    int depth_;
+    int hit_latency_;
+    SmId sm_id_;
+    Profiler *prof_ = nullptr;
     RingBuf<Entry> queue_; ///< flat hot queue (DESIGN.md §14)
 };
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "sim/config.hpp"
-#include "sim/snapshot.hpp"
 #include "sm/warp.hpp"
 
 namespace ckesim {
@@ -83,24 +82,10 @@ class WarpScheduler
     int id() const { return id_; }
     const std::vector<WarpSlot> &slots() const { return slots_; }
 
-    void
-    snapshot(SnapshotWriter &w) const
-    {
-        w.id(greedy_);
-        w.u64(rr_next_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        greedy_ = r.id<WarpSlot>();
-        rr_next_ = static_cast<std::size_t>(r.u64());
-    }
-
   private:
-    int id_;                        // SNAPSHOT-SKIP(fixed at construction)
-    SchedPolicy policy_;            // SNAPSHOT-SKIP(fixed at construction)
-    std::vector<WarpSlot> slots_;   // SNAPSHOT-SKIP(fixed at construction)
+    int id_;
+    SchedPolicy policy_;
+    std::vector<WarpSlot> slots_;
     WarpSlot greedy_ = kInvalidWarpSlot;
     std::size_t rr_next_ = 0;
 };

@@ -5,7 +5,6 @@
 
 #include "mem/coalescer.hpp"
 #include "sim/check.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 
@@ -580,233 +579,6 @@ Sm::describeState() const
            << " quota=" << controller_.qbmiQuota(k);
     }
     return os.str();
-}
-
-// ---- snapshot / restore -------------------------------------------------
-
-namespace {
-
-void
-snapshotAddrGen(SnapshotWriter &w, const AddrGenState &st)
-{
-    const Rng::State rs = st.rng.state();
-    w.u64(rs.s0);
-    w.u64(rs.s1);
-    w.u64(st.stream_cursor);
-    w.u64(st.stream_base_line);
-    w.u64(st.stream_region_lines);
-    w.u64(st.stream_stride);
-    w.u64(st.stream_offset);
-    w.u64(st.footprint_base_line);
-    w.u64(st.footprint_lines);
-    for (const std::uint64_t line : st.ring)
-        w.u64(line);
-    w.i64(st.ring_count);
-    w.i64(st.ring_pos);
-}
-
-void
-restoreAddrGen(SnapshotReader &r, AddrGenState &st)
-{
-    Rng::State rs;
-    rs.s0 = r.u64();
-    rs.s1 = r.u64();
-    st.rng.setState(rs);
-    st.stream_cursor = r.u64();
-    st.stream_base_line = r.u64();
-    st.stream_region_lines = r.u64();
-    st.stream_stride = r.u64();
-    st.stream_offset = r.u64();
-    st.footprint_base_line = r.u64();
-    st.footprint_lines = r.u64();
-    for (std::uint64_t &line : st.ring)
-        line = r.u64();
-    st.ring_count = static_cast<int>(r.i64());
-    st.ring_pos = static_cast<int>(r.i64());
-}
-
-void
-snapshotWarp(SnapshotWriter &w, const Warp &warp)
-{
-    w.u8(static_cast<std::uint8_t>(warp.state));
-    w.id(warp.kernel);
-    w.i64(warp.tb_index);
-    w.unit(warp.ready_at);
-    w.i64(warp.pending_requests);
-    w.u64(warp.age);
-    warp.stream.snapshot(w);
-    snapshotAddrGen(w, warp.addr);
-    for (const int n : warp.load_ring)
-        w.i64(n);
-    w.i64(warp.load_head);
-    w.i64(warp.outstanding_loads);
-}
-
-void
-restoreWarp(SnapshotReader &r, Warp &warp, const KernelProfile *prof)
-{
-    warp.state = static_cast<WarpState>(r.u8());
-    warp.kernel = r.id<KernelId>();
-    warp.tb_index = static_cast<int>(r.i64());
-    warp.ready_at = r.unit<Cycle>();
-    warp.pending_requests = static_cast<int>(r.i64());
-    warp.age = r.u64();
-    warp.stream.restore(r, prof);
-    restoreAddrGen(r, warp.addr);
-    for (int &n : warp.load_ring)
-        n = static_cast<int>(r.i64());
-    warp.load_head = static_cast<int>(r.i64());
-    warp.outstanding_loads = static_cast<int>(r.i64());
-    // Derived fields: not in the snapshot, recomputed here.
-    warp.refreshStreamCache();
-}
-
-} // namespace
-
-void
-Sm::snapshot(SnapshotWriter &w) const
-{
-    w.section("sm");
-    controller_.snapshot(w);
-    l1d_.snapshot(w);
-    lsu_.snapshot(w);
-    for (const WarpScheduler &sched : schedulers_)
-        sched.snapshot(w);
-
-    w.u64(ctx_.size());
-    for (const KernelCtx &c : ctx_) {
-        w.i64(c.quota);
-        w.i64(c.resident);
-        w.u64(c.tb_seq);
-        snapshotKernelStats(w, c.stats);
-    }
-
-    w.u64(warps_.size());
-    for (const Warp &warp : warps_)
-        snapshotWarp(w, warp);
-
-    w.u64(tbs_.size());
-    for (const ThreadBlock &tb : tbs_) {
-        w.boolean(tb.active);
-        w.id(tb.kernel);
-        w.u64(tb.seq);
-        w.i64(tb.warps_left);
-        w.i64(tb.num_warps);
-    }
-
-    w.i64(used_.regs);
-    w.i64(used_.smem);
-    w.i64(used_.threads);
-    w.i64(used_.tbs);
-    w.i64(used_.warps);
-    snapshotSmStats(w, sm_stats_);
-    w.u64(age_counter_);
-    w.i64(dispatch_rr_);
-    w.unit(now_);
-
-    // The wake heap pops in deterministic (cycle, slot) order; a copy
-    // drained to a flat list re-heapifies identically on restore.
-    auto heap = wakes_;
-    w.u64(heap.size());
-    while (!heap.empty()) {
-        w.unit(heap.top().first);
-        w.id(heap.top().second);
-        heap.pop();
-    }
-
-    w.u64(lifetime_issued_);
-    w.u64(lifetime_returns_);
-}
-
-void
-Sm::restore(SnapshotReader &r)
-{
-    r.section("sm");
-    const SimCtx ctx = smCtx(sm_id_);
-    controller_.restore(r);
-    l1d_.restore(r);
-    lsu_.restore(r);
-    for (WarpScheduler &sched : schedulers_)
-        sched.restore(r);
-
-    const std::uint64_t nk = r.u64();
-    SIM_CHECK(nk == ctx_.size(), ctx,
-              "snapshot holds " << nk << " kernel contexts, SM has "
-                                << ctx_.size());
-    for (KernelCtx &c : ctx_) {
-        c.quota = static_cast<int>(r.i64());
-        c.resident = static_cast<int>(r.i64());
-        c.tb_seq = r.u64();
-        c.stats = restoreKernelStats(r);
-    }
-
-    const std::uint64_t nw = r.u64();
-    SIM_CHECK(nw == warps_.size(), ctx,
-              "snapshot holds " << nw << " warp slots, SM has "
-                                << warps_.size());
-    for (Warp &warp : warps_) {
-        restoreWarp(r, warp, nullptr);
-        // The warp's kernel is known only after its record is read;
-        // rebind the stream's profile from it (stale-but-unused
-        // pointers on Invalid/Done slots stay null harmlessly).
-        if (warp.kernel.valid())
-            warp.stream.rebindProfile(ctx_[warp.kernel.idx()].prof);
-    }
-    // Rebuild the dense scan mirrors and demand counters (derived;
-    // not serialized). Clearing first makes syncScan's incremental
-    // counter maintenance start from a blank slate.
-    std::fill(scan_meta_.begin(), scan_meta_.end(),
-              static_cast<std::uint8_t>(0));
-    ready_mem_.fill(0);
-    for (std::size_t s = 0; s < warps_.size(); ++s)
-        syncScan(s);
-
-    const std::uint64_t nt = r.u64();
-    SIM_CHECK(nt == tbs_.size(), ctx,
-              "snapshot holds " << nt << " TB slots, SM has "
-                                << tbs_.size());
-    for (ThreadBlock &tb : tbs_) {
-        tb.active = r.boolean();
-        tb.kernel = r.id<KernelId>();
-        tb.seq = r.u64();
-        tb.warps_left = static_cast<int>(r.i64());
-        tb.num_warps = static_cast<int>(r.i64());
-    }
-
-    used_.regs = static_cast<int>(r.i64());
-    used_.smem = static_cast<int>(r.i64());
-    used_.threads = static_cast<int>(r.i64());
-    used_.tbs = static_cast<int>(r.i64());
-    used_.warps = static_cast<int>(r.i64());
-    sm_stats_ = restoreSmStats(r);
-    age_counter_ = r.u64();
-    dispatch_rr_ = static_cast<int>(r.i64());
-    now_ = r.unit<Cycle>();
-
-    wakes_ = decltype(wakes_){};
-    const std::uint64_t nwakes = r.u64();
-    for (std::uint64_t i = 0; i < nwakes; ++i) {
-        const Cycle at = r.unit<Cycle>();
-        const WarpSlot slot = r.id<WarpSlot>();
-        wakes_.emplace(at, slot);
-    }
-
-    lifetime_issued_ = r.u64();
-    lifetime_returns_ = r.u64();
-
-    // Refile every Busy warp in the due-wheel (derived; needs the
-    // restored now_). A warp already due — possible only in exotic
-    // snapshots — files at the next tick, matching the old full
-    // scan's pickup time.
-    for (std::vector<WarpSlot> &bucket : due_wheel_)
-        bucket.clear();
-    for (std::size_t s = 0; s < warps_.size(); ++s) {
-        const Warp &warp = warps_[s];
-        if (warp.state != WarpState::Busy)
-            continue;
-        fileDue(WarpSlot{s},
-                warp.ready_at > now_ ? warp.ready_at : now_ + 1);
-    }
 }
 
 // ---- LsuHost ------------------------------------------------------------

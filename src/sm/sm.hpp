@@ -135,13 +135,6 @@ class Sm : public LsuHost
         access_observer_opaque_ = opaque;
     }
 
-    /** Serialize the SM's entire mutable state (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into an SM of identical construction. Warp instruction
-     *  streams have their profile pointers rebound from ctx_. */
-    void restore(SnapshotReader &r);
-
     // ---- LsuHost --------------------------------------------------------
     void lsuHitReturn(WarpSlot warp_slot, KernelId k,
                       Cycle ready_at) override;
@@ -154,13 +147,13 @@ class Sm : public LsuHost
   private:
     struct KernelCtx
     {
-        const KernelProfile *prof = nullptr; // not snapshot state (fixed at construction)
+        const KernelProfile *prof = nullptr;
         int quota = 0;
         int resident = 0;
         std::uint64_t tb_seq = 0;
         KernelStats stats;
-        TimeSeries *issue_series = nullptr; // not snapshot state (owned and snapshotted by the experiment)
-        TimeSeries *l1d_series = nullptr;   // not snapshot state (owned and snapshotted by the experiment)
+        TimeSeries *issue_series = nullptr; // owned by the experiment
+        TimeSeries *l1d_series = nullptr;   // owned by the experiment
     };
 
     struct Resources
@@ -189,7 +182,7 @@ class Sm : public LsuHost
     // ~176-byte Warp records costs one cache line per slot per scan.
     // These L1-resident mirrors pack the only fields the picks need.
     // Derived from warps_ — resynced by syncScan() on every
-    // transition, rebuilt on restore, never serialized.
+    // transition.
     static constexpr std::uint8_t kScanStateMask = 0x07;
     static constexpr std::uint8_t kScanMemBit = 0x08;
     static constexpr int kScanKernelShift = 4;
@@ -235,29 +228,26 @@ class Sm : public LsuHost
             .push_back(slot);
     }
 
-    GpuConfig cfg_;     // SNAPSHOT-SKIP(fixed at construction)
-    SmId sm_id_;        // SNAPSHOT-SKIP(fixed at construction)
-    MemorySystem &mem_; // SNAPSHOT-SKIP(reference; snapshotted by the Gpu)
+    GpuConfig cfg_;
+    SmId sm_id_;
+    MemorySystem &mem_;
     std::vector<KernelCtx> ctx_;
     IssueController controller_;
     L1Dcache l1d_;
     Lsu lsu_;
     std::vector<WarpScheduler> schedulers_;
     std::vector<Warp> warps_;
-    // Dense scan mirrors, all SNAPSHOT-SKIP(derived; rebuilt from
-    // warps_ on restore):
-    std::vector<std::uint8_t> scan_meta_; // SNAPSHOT-SKIP(derived) state|mem|kernel
-    std::vector<std::uint64_t> scan_age_; // SNAPSHOT-SKIP(derived) age mirror (GTO)
+    // Dense scan mirrors, derived from warps_:
+    std::vector<std::uint8_t> scan_meta_; // state|mem|kernel
+    std::vector<std::uint64_t> scan_age_; // age mirror (GTO)
     /** Due-wheel: Busy warps are filed under their ready_at bucket at
      *  issue, so preScan visits only the warps due this cycle instead
      *  of scanning every slot. No bucket aliasing: the wheel spans
      *  more cycles than the longest issue latency, a Busy warp never
-     *  changes ready_at, and the run loop ticks every cycle.
-     *  SNAPSHOT-SKIP(derived; rebuilt from warps_ on restore) */
+     *  changes ready_at, and the run loop ticks every cycle. */
     std::vector<std::vector<WarpSlot>> due_wheel_;
-    std::size_t due_mask_ = 0; // SNAPSHOT-SKIP(fixed at construction)
-    /** Ready warps whose next instruction is global-mem, per kernel.
-     *  SNAPSHOT-SKIP(derived; rebuilt from warps_ on restore) */
+    std::size_t due_mask_ = 0;
+    /** Ready warps whose next instruction is global-mem, per kernel. */
     std::array<int, kMaxKernelsPerSm> ready_mem_{};
     std::vector<ThreadBlock> tbs_;
     Resources used_;
@@ -273,18 +263,18 @@ class Sm : public LsuHost
         wakes_;
 
     // Scratch buffers reused every memory instruction.
-    std::vector<Addr> scratch_thread_addrs_; // SNAPSHOT-SKIP(scratch; dead between instructions)
-    std::vector<LineAddr> scratch_lines_;    // SNAPSHOT-SKIP(scratch; dead between instructions)
+    std::vector<Addr> scratch_thread_addrs_;
+    std::vector<LineAddr> scratch_lines_;
 
     // Scratch buffers reused every drainFills cycle.
-    std::vector<MemRequest> scratch_fills_;  // SNAPSHOT-SKIP(scratch; dead between cycles)
-    std::vector<L1Target> scratch_targets_;  // SNAPSHOT-SKIP(scratch; dead between cycles)
+    std::vector<MemRequest> scratch_fills_;
+    std::vector<L1Target> scratch_targets_;
 
-    AccessObserver access_observer_ = nullptr; // SNAPSHOT-SKIP(rebound by the experiment on restore)
-    void *access_observer_opaque_ = nullptr;   // SNAPSHOT-SKIP(rebound by the experiment on restore)
+    AccessObserver access_observer_ = nullptr;
+    void *access_observer_opaque_ = nullptr;
 
-    FaultInjector *faults_ = nullptr; // SNAPSHOT-SKIP(rebound by the Gpu; injector state snapshotted there)
-    Profiler *prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the Gpu)
+    FaultInjector *faults_ = nullptr;
+    Profiler *prof_ = nullptr;
     std::uint64_t lifetime_issued_ = 0;
     std::uint64_t lifetime_returns_ = 0;
 };

@@ -38,8 +38,7 @@ struct Warp
     std::uint64_t age = 0;   ///< TB dispatch order (GTO "oldest")
     /** Cached stream facts (DESIGN.md §14): the per-cycle scheduler
      *  scans read these instead of touching the InstrStream's cache
-     *  lines. Derived from `stream` — refreshed on reset/advance and
-     *  recomputed on restore, never serialized. */
+     *  lines. Derived from `stream` — refreshed on reset/advance. */
     bool stream_done = false; ///< == stream.done()
     bool next_is_mem = false; ///< == isGlobalMem(stream.peek())
     InstrStream stream;

@@ -1,20 +1,14 @@
 // simcheck golden fixture: uninit-member.
-// A snapshot-bearing class with one scalar field that neither has an
-// in-class initializer nor is covered by every constructor's init
-// list. Restoring a snapshot into a freshly constructed object would
-// leave that field holding garbage that the restore may never
-// overwrite.
-class SnapshotWriter;
-class SnapshotReader;
-
+// A class with one scalar field that neither has an in-class
+// initializer nor is covered by every constructor's init list: an
+// object built by the one-argument constructor starts with that field
+// holding construction garbage, so two runs of the same simulation
+// can diverge from their first cycle.
 class Counter
 {
   public:
-    Counter() : ticks_(0) {}
+    Counter() : ticks_(0), stall_count_(0) {}
     explicit Counter(int start) : ticks_(start) {}
-
-    void snapshot(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
 
   private:
     unsigned long long ticks_; // covered by both ctor init lists

@@ -8,9 +8,9 @@ exact: a missed planted violation fails, and so does any extra
 finding (over-fire). The clean fixture runs with every rule enabled
 and must come back empty.
 
-A mutation check then proves the analyzer sees what the regex lint
-cannot: deleting one snapshot field write from the clean fixture must
-produce a snapshot-coverage-v2 finding.
+A mutation check then proves the rules bite on the clean fixture
+itself: stripping one in-class initializer from it must produce an
+uninit-member finding.
 
 Exits 77 (ctest SKIP_RETURN_CODE) when no simcheck frontend can run
 in this environment.
@@ -31,7 +31,6 @@ EXPECT = re.compile(r"EXPECT\[(?P<rule>[\w-]+)\]")
 FIXTURES = [
     ("fixture_determinism.cpp", "determinism-hazard"),
     ("fixture_uninit.cpp", "uninit-member"),
-    ("fixture_snapshot.cpp", "snapshot-coverage-v2"),
     ("fixture_simerror.cpp", "simerror-discipline"),
 ]
 
@@ -126,8 +125,9 @@ def main():
     # Mutations of the clean fixture: the AST rules must notice.
     clean_src = open(os.path.join(root, rel), encoding="utf-8").read()
     mutations = [
-        ("drop snapshot-side field write", "snapshot-coverage-v2",
-         clean_src.replace("    w.u64(head_);\n", "", 1)),
+        ("strip an in-class initializer", "uninit-member",
+         clean_src.replace("    unsigned long long head_ = 0;\n",
+                           "    unsigned long long head_;\n", 1)),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         # simcheck resolves paths under --root; give the tmp root the

@@ -63,17 +63,5 @@ TEST(Config, SmallConfigShrinksOnlyScale)
     EXPECT_EQ(cfg.l1d.size_bytes, ref.l1d.size_bytes);
 }
 
-TEST(Config, DigestDistinguishesConfigs)
-{
-    GpuConfig a;
-    GpuConfig b;
-    b.l1d.size_bytes = 48 * 1024;
-    EXPECT_NE(a.digest(), b.digest());
-    GpuConfig c;
-    c.sm.sched_policy = SchedPolicy::LRR;
-    EXPECT_NE(a.digest(), c.digest());
-    EXPECT_EQ(a.digest(), GpuConfig{}.digest());
-}
-
 } // namespace
 } // namespace ckesim

@@ -13,7 +13,6 @@
 
 #include "mem/mshr.hpp"
 #include "sim/rng.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 namespace {
@@ -233,44 +232,6 @@ TEST(MshrOracle, CollisionChainSurvivesMiddleDeletions)
     const auto dump = dumpTable(t);
     EXPECT_EQ(dump.size(), 4u);
     EXPECT_EQ(dump.at(chain[5].get()), std::vector<int>{5});
-}
-
-TEST(MshrOracle, SnapshotRoundTripCollisionHeavy)
-{
-    // Snapshot payload is sorted by line (insertion-history
-    // independent): a table rebuilt from it must dump identically and
-    // re-serialize to the same bytes.
-    constexpr int kCapacity = 8;
-    IntMshr t(kCapacity, 4);
-    const std::vector<LineAddr> chain =
-        collidingLines(kCapacity, 5, 5);
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        t.allocate(chain[i], static_cast<int>(i) * 10);
-        t.merge(chain[i], static_cast<int>(i) * 10 + 1);
-    }
-    t.release(chain[1]); // leave a backward-shifted chain behind
-
-    SnapshotWriter w;
-    t.snapshot(w, [](SnapshotWriter &sw, const int &v) {
-        sw.i64(v);
-    });
-
-    IntMshr back(kCapacity, 4);
-    SnapshotReader r(w.bytes());
-    back.restore(r, [](SnapshotReader &sr) {
-        return static_cast<int>(sr.i64());
-    });
-
-    EXPECT_EQ(dumpTable(back), dumpTable(t));
-    EXPECT_EQ(back.size(), t.size());
-    EXPECT_EQ(back.totalAllocated(), t.totalAllocated());
-    EXPECT_EQ(back.totalReleased(), t.totalReleased());
-
-    SnapshotWriter w2;
-    back.snapshot(w2, [](SnapshotWriter &sw, const int &v) {
-        sw.i64(v);
-    });
-    EXPECT_EQ(w.bytes(), w2.bytes());
 }
 
 } // namespace

@@ -160,27 +160,68 @@ TEST(Determinism, SplitRunsMatchOneRun)
 {
     // run(a); run(b) must end exactly where one run(a + b) does: the
     // profiling end, UCP repartitions and global-DMIL broadcasts all
-    // fire on both sides of the split. Trace sampling between run()
-    // chunks relies on this.
+    // fire on both sides of the split, and so do injected faults
+    // whose windows straddle it. Trace sampling between run() chunks
+    // relies on this.
     const Workload w = makeWorkload({"sv", "ks"});
-    std::vector<std::pair<std::string, SchemeSpec>> schemes;
-    schemes.emplace_back("smk-drf",
-                         makeScheme(PartitionScheme::SmkDrf,
-                                    BmiMode::None, MilMode::None));
+    struct Case
+    {
+        std::string name;
+        SchemeSpec spec;
+        Cycle split;
+    };
+    std::vector<Case> schemes;
+    schemes.push_back({"smk-drf",
+                       makeScheme(PartitionScheme::SmkDrf,
+                                  BmiMode::None, MilMode::None),
+                       Cycle{4000}});
     {
         SchemeSpec s = makeScheme(PartitionScheme::WarpedSlicer,
                                   BmiMode::None, MilMode::None);
         s.ws_profile_window = Cycle{2000};
         s.ucp = true;
         s.ucp_interval = Cycle{3000};
-        schemes.emplace_back("ws-ucp", s);
+        schemes.push_back({"ws-ucp", s, Cycle{4000}});
     }
     {
         SchemeSpec s = makeScheme(PartitionScheme::WarpedSlicer,
                                   BmiMode::QBMI, MilMode::Dynamic);
         s.ws_profile_window = Cycle{2000};
         s.global_dmil = true;
-        schemes.emplace_back("ws-qbmi-dmil-global", s);
+        schemes.push_back({"ws-qbmi-dmil-global", s, Cycle{4000}});
+    }
+    {
+        // Delayed fills and forced reservation failures under the full
+        // QBMI+DMIL mechanism; the split falls inside both windows.
+        SchemeSpec s = makeScheme(PartitionScheme::WarpedSlicer,
+                                  BmiMode::QBMI, MilMode::Dynamic);
+        s.ws_profile_window = Cycle{2000};
+        FaultSpec delay;
+        delay.kind = FaultKind::DelayFill;
+        delay.begin = Cycle{2000};
+        delay.end = Cycle{9000};
+        delay.budget = 64;
+        delay.delay = Cycle{150};
+        s.faults.push_back(delay);
+        FaultSpec rsfail;
+        rsfail.kind = FaultKind::ForceRsFail;
+        rsfail.begin = Cycle{4000};
+        rsfail.end = Cycle{6000};
+        rsfail.budget = 128;
+        s.faults.push_back(rsfail);
+        schemes.push_back({"qbmi-faulted", s, Cycle{5000}});
+    }
+    {
+        // A DRAM channel frozen across the split under SMK-DRF.
+        SchemeSpec s = makeScheme(PartitionScheme::SmkDrf,
+                                  BmiMode::None, MilMode::None);
+        FaultSpec freeze;
+        freeze.kind = FaultKind::FreezeDram;
+        freeze.begin = Cycle{3000};
+        freeze.end = Cycle{5000};
+        freeze.target = 0;
+        s.faults.push_back(freeze);
+        schemes.push_back({"smk-faulted", s, Cycle{4000}});
     }
 
     auto hash = [](const Gpu &gpu) {
@@ -189,16 +230,22 @@ TEST(Determinism, SplitRunsMatchOneRun)
             h = fingerprint(gpu.kernelStatsTotal(KernelId{k}), h);
         return h;
     };
-    for (const auto &[name, spec] : schemes) {
+    for (const auto &[name, spec, at] : schemes) {
         Gpu once(smallCfg(), w, spec);
         once.run(Cycle{10000});
         Gpu split(smallCfg(), w, spec);
-        split.run(Cycle{4000});
-        split.run(Cycle{6000});
+        split.run(at);
+        split.run(Cycle{10000} - at);
         EXPECT_EQ(once.measuredCycles(), split.measuredCycles())
             << name;
         EXPECT_EQ(hash(once), hash(split)) << name;
         EXPECT_GT(once.smStatsTotal().cycles, 0u) << name;
+        for (int k = 0; k < kNumFaultKinds; ++k)
+            EXPECT_EQ(once.faultInjector().firedCount(FaultKind(k)),
+                      split.faultInjector().firedCount(FaultKind(k)))
+                << name;
+        EXPECT_EQ(once.faultInjector().anyFired(), !spec.faults.empty())
+            << name;
     }
 }
 

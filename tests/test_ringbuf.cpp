@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the fixed-capacity ring buffer behind the per-cycle
  * queues (DESIGN.md §14): wrap-around FIFO order, growth refusal at
- * capacity, snapshot round-trips, and a randomized std::deque oracle.
+ * capacity, and a randomized std::deque oracle.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "sim/check.hpp"
 #include "sim/ringbuf.hpp"
 #include "sim/rng.hpp"
-#include "sim/snapshot.hpp"
 
 namespace ckesim {
 namespace {
@@ -83,55 +82,6 @@ TEST(RingBuf, EraseAtPreservesSurvivorOrder)
     rb.eraseAt(0); // drop the head
     seen.assign(rb.begin(), rb.end());
     EXPECT_EQ(seen, (std::vector<int>{4, 6, 7}));
-}
-
-TEST(RingBuf, SnapshotRoundTripPreservesWrappedState)
-{
-    RingBuf<std::uint64_t> rb(5);
-    for (std::uint64_t i = 0; i < 5; ++i)
-        rb.push_back(i);
-    rb.pop_front();
-    rb.pop_front();
-    rb.push_back(100);
-    rb.push_back(101); // logical: 2 3 4 100 101
-
-    SnapshotWriter w;
-    rb.snapshot(w, [](SnapshotWriter &sw, const std::uint64_t &v) {
-        sw.u64(v);
-    });
-
-    RingBuf<std::uint64_t> back(5);
-    back.push_back(999); // restore() must clear stale content
-    SnapshotReader r(w.bytes());
-    back.restore(r, [](SnapshotReader &sr) { return sr.u64(); });
-
-    const std::vector<std::uint64_t> seen(back.begin(), back.end());
-    EXPECT_EQ(seen,
-              (std::vector<std::uint64_t>{2, 3, 4, 100, 101}));
-
-    // Re-serializing the restored buffer yields identical bytes —
-    // the fingerprint gate every converted queue relies on.
-    SnapshotWriter w2;
-    back.snapshot(w2, [](SnapshotWriter &sw, const std::uint64_t &v) {
-        sw.u64(v);
-    });
-    EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(RingBuf, RestoreRefusesOversizedSnapshot)
-{
-    RingBuf<std::uint64_t> big(4);
-    for (std::uint64_t i = 0; i < 4; ++i)
-        big.push_back(i);
-    SnapshotWriter w;
-    big.snapshot(w, [](SnapshotWriter &sw, const std::uint64_t &v) {
-        sw.u64(v);
-    });
-    RingBuf<std::uint64_t> small(2);
-    SnapshotReader r(w.bytes());
-    EXPECT_THROW(
-        small.restore(r, [](SnapshotReader &sr) { return sr.u64(); }),
-        SimError);
 }
 
 TEST(RingBuf, DequeOracleRandomizedOps)

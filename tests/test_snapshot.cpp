@@ -1,10 +1,7 @@
 /**
  * @file
- * Snapshot layer coverage: the typed binary codec (tags, sections,
- * fingerprints, malformed-stream rejection) and the Gpu-level
- * guarantee that restore(snapshot(t)) + run(n) is bit-identical to
- * running straight through t+n, including scheme state, RNG streams
- * and the fault injector.
+ * Coverage of the typed binary codec behind the results journal and
+ * the campaign wire: tags, sections and malformed-stream rejection.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +9,7 @@
 #include <cstring>
 #include <vector>
 
-#include "gpu.hpp"
-#include "kernels/workload.hpp"
 #include "sim/check.hpp"
-#include "sim/config.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -39,7 +33,6 @@ TEST(SnapshotCodec, RoundTripsEveryScalarType)
     w.id(kInvalidKernel);
     w.unit(Cycle{12345});
     w.vecU64({1, 2, 3});
-    w.vecBool({true, false, true});
 
     SnapshotReader r(w.bytes());
     r.section("test");
@@ -55,7 +48,6 @@ TEST(SnapshotCodec, RoundTripsEveryScalarType)
     EXPECT_EQ(r.id<KernelId>(), kInvalidKernel);
     EXPECT_EQ(r.unit<Cycle>(), Cycle{12345});
     EXPECT_EQ(r.vecU64(), (std::vector<std::uint64_t>{1, 2, 3}));
-    EXPECT_EQ(r.vecBool(), (std::vector<bool>{true, false, true}));
     EXPECT_TRUE(r.atEnd());
 }
 
@@ -95,158 +87,6 @@ TEST(SnapshotCodec, TruncatedStreamThrows)
     bytes.resize(bytes.size() - 3);
     SnapshotReader r(bytes);
     EXPECT_THROW(r.u64(), SimError);
-}
-
-TEST(SnapshotCodec, FingerprintTracksContent)
-{
-    SnapshotWriter a;
-    a.u64(1);
-    SnapshotWriter b;
-    b.u64(1);
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    SnapshotWriter c;
-    c.u64(2);
-    EXPECT_NE(a.fingerprint(), c.fingerprint());
-}
-
-// ---- Gpu snapshot/restore ----------------------------------------------
-
-GpuConfig
-snapCfg()
-{
-    return makeSmallConfig(2, 2);
-}
-
-Workload
-mixedPair()
-{
-    return makeWorkload({"bp", "sv"});
-}
-
-/** Bitwise-equal final state + metrics of two machines. */
-void
-expectIdentical(const Gpu &a, const Gpu &b)
-{
-    const GpuSnapshot sa = a.snapshot();
-    const GpuSnapshot sb = b.snapshot();
-    EXPECT_EQ(sa.fingerprint, sb.fingerprint);
-    EXPECT_EQ(sa.cycle, sb.cycle);
-    EXPECT_EQ(sa.bytes, sb.bytes);
-    for (int k = 0; k < a.numKernels(); ++k) {
-        const double ia = a.ipc(KernelId{k});
-        const double ib = b.ipc(KernelId{k});
-        EXPECT_EQ(std::memcmp(&ia, &ib, sizeof ia), 0)
-            << "ipc of kernel " << k << " diverged";
-    }
-}
-
-TEST(GpuSnapshot, RestoreThenRunMatchesStraightRun)
-{
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::QBMI,
-                                       MilMode::Dynamic);
-    Gpu straight(snapCfg(), mixedPair(), spec);
-    straight.run(Cycle{3000});
-    const GpuSnapshot ckpt = straight.snapshot();
-    straight.run(Cycle{3000});
-
-    Gpu resumed(snapCfg(), mixedPair(), spec);
-    resumed.restore(ckpt);
-    resumed.run(Cycle{3000});
-    expectIdentical(straight, resumed);
-}
-
-TEST(GpuSnapshot, SnapshotIsSideEffectFree)
-{
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::None, MilMode::None);
-    Gpu observed(snapCfg(), mixedPair(), spec);
-    Gpu plain(snapCfg(), mixedPair(), spec);
-    for (int i = 0; i < 4; ++i) {
-        observed.run(Cycle{700});
-        (void)observed.snapshot(); // must not perturb anything
-        plain.run(Cycle{700});
-    }
-    expectIdentical(observed, plain);
-}
-
-TEST(GpuSnapshot, AutoCheckpointFollowsTheConfiguredCadence)
-{
-    GpuConfig cfg = snapCfg();
-    cfg.integrity.checkpoint_interval = 1000;
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::None, MilMode::None);
-    Gpu gpu(cfg, mixedPair(), spec);
-    EXPECT_EQ(gpu.lastCheckpoint(), nullptr);
-    gpu.run(Cycle{2500});
-    ASSERT_NE(gpu.lastCheckpoint(), nullptr);
-    // Checkpoint is taken before the cycle executes: the newest one
-    // covers cycles [0, 2000).
-    EXPECT_EQ(gpu.lastCheckpoint()->cycle, Cycle{2000});
-    EXPECT_EQ(gpu.lastCheckpoint()->version, kSnapshotFormatVersion);
-}
-
-TEST(GpuSnapshot, RestoreRejectsWrongVersion)
-{
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::None, MilMode::None);
-    Gpu gpu(snapCfg(), mixedPair(), spec);
-    gpu.run(Cycle{500});
-    GpuSnapshot snap = gpu.snapshot();
-    snap.version += 1;
-    try {
-        gpu.restore(snap);
-        FAIL() << "restore accepted a future format version";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), "Snapshot") << e.what();
-    }
-}
-
-TEST(GpuSnapshot, RestoreRejectsForeignConfig)
-{
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::None, MilMode::None);
-    Gpu gpu(snapCfg(), mixedPair(), spec);
-    gpu.run(Cycle{500});
-    const GpuSnapshot snap = gpu.snapshot();
-
-    GpuConfig other = snapCfg();
-    other.seed += 1; // different machine identity
-    Gpu target(other, mixedPair(), spec);
-    EXPECT_THROW(target.restore(snap), SimError);
-}
-
-TEST(GpuSnapshot, RestoreRejectsCorruptedPayload)
-{
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::None, MilMode::None);
-    Gpu gpu(snapCfg(), mixedPair(), spec);
-    gpu.run(Cycle{500});
-    GpuSnapshot snap = gpu.snapshot();
-    snap.bytes[snap.bytes.size() / 2] ^= 0x01; // single bit flip
-    EXPECT_THROW(gpu.restore(snap), SimError);
-}
-
-TEST(GpuSnapshot, FaultInjectorBudgetsSurviveRestore)
-{
-    // A budgeted fault that fired before the checkpoint must not fire
-    // again after restore: the consumed budget is part of the state.
-    SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                 BmiMode::None, MilMode::None);
-    spec.faults.push_back({FaultKind::DelayFill, Cycle{100},
-                           Cycle{4000}, -1, 32, Cycle{150}});
-    Gpu straight(snapCfg(), mixedPair(), spec);
-    straight.run(Cycle{2000});
-    const GpuSnapshot ckpt = straight.snapshot();
-    straight.run(Cycle{2000});
-
-    Gpu resumed(snapCfg(), mixedPair(), spec);
-    resumed.restore(ckpt);
-    resumed.run(Cycle{2000});
-    expectIdentical(straight, resumed);
-    EXPECT_EQ(
-        straight.faultInjector().firedCount(FaultKind::DelayFill),
-        resumed.faultInjector().firedCount(FaultKind::DelayFill));
 }
 
 } // namespace

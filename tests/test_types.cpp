@@ -33,15 +33,15 @@ static_assert(sizeof(LineAddr) == sizeof(std::uint64_t));
 static_assert(std::is_trivially_copyable_v<KernelId>);
 static_assert(std::is_trivially_copyable_v<Cycle>);
 
-// ---- snapshot format version pin ----------------------------------
-// Any change to what snapshot()/restore() serialize — field added,
+// ---- journal record format version pin ---------------------------
+// Any change to what a results-journal record holds — field added,
 // removed, reordered, or re-typed — MUST bump kSnapshotFormatVersion
-// (there is no migration; old checkpoints and journals are rejected).
+// (there is no migration; journals of another version are rejected).
 // Bumping it forces this pin to be updated in the same change, making
 // the reviewer confront the compatibility break explicitly.
 static_assert(kSnapshotFormatVersion == 1,
-              "snapshot format changed: update this pin and note the "
-              "break in DESIGN.md section 11");
+              "journal record format changed: update this pin and "
+              "note the break in DESIGN.md section 11");
 
 // ---- ids: construction, validity, sentinels -----------------------
 static_assert(KernelId{3}.get() == 3);

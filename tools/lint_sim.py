@@ -22,16 +22,6 @@ Enforces repo rules that clang-tidy cannot express:
                   for (KernelId, SmId, WarpSlot).
   nolint-reason   Every NOLINT must name a check and carry a reason:
                   `NOLINT(check-name): why`. Bare suppressions rot.
-  snapshot-coverage
-                  In any header declaring both snapshot(SnapshotWriter&)
-                  and restore(SnapshotReader&) (or the Gpu-level
-                  GpuSnapshot pair), every `name_` data member must be
-                  mentioned in the snapshot/restore bodies (header or
-                  sibling .cpp) or carry an explicit
-                  `// SNAPSHOT-SKIP(reason)` waiver on its declaration
-                  line. A silently-forgotten field is the snapshot
-                  layer's worst failure mode: replay diverges with no
-                  error.
   hotpath         No std::deque/std::map/std::unordered_map in the
                   per-cycle simulation paths (src/mem/, src/sm/,
                   src/gpu.*). The strict path walks these structures
@@ -46,16 +36,12 @@ Enforces repo rules that clang-tidy cannot express:
                   outlived the code it excused or never matched in the
                   first place, and it trains readers to ignore
                   markers. LINT-ALLOW and HOTPATH-ALLOW must have
-                  actually suppressed a finding this run.
-                  SNAPSHOT-SKIP must sit on (or within three lines
-                  above) a data-member declaration in a header that
-                  declares the snapshot pair. The literal placeholder
-                  spelling `(reason)` is documentation, not a waiver.
+                  actually suppressed a finding this run. The literal
+                  placeholder spelling `(reason)` is documentation,
+                  not a waiver.
 
 Any rule can be waived on a specific line with
-`// LINT-ALLOW(<rule>): <reason>`; the reason is mandatory
-(snapshot-coverage uses `// SNAPSHOT-SKIP(reason)` instead, so the
-waiver doubles as documentation of why the field is not state).
+`// LINT-ALLOW(<rule>): <reason>`; the reason is mandatory.
 
 Usage: python3 tools/lint_sim.py [--root DIR]
 Exit status 0 if clean, 1 with findings on stderr otherwise.
@@ -114,29 +100,6 @@ NOLINT_OK = re.compile(
 
 LINT_ALLOW = re.compile(r"LINT-ALLOW\((?P<rule>[\w-]+)\)\s*:\s*\S")
 
-# ---- snapshot-coverage rule ------------------------------------------
-# A header participates when it declares the member-function pair.
-SNAPSHOT_DECL = re.compile(
-    r"\bsnapshot\s*\(\s*SnapshotWriter|\bGpuSnapshot\s+snapshot\s*\(")
-RESTORE_DECL = re.compile(
-    r"\brestore\s*\(\s*SnapshotReader|"
-    r"\brestore\s*\(\s*const\s+GpuSnapshot")
-# Any function whose name mentions snapshot/restore (members, free
-# helpers like snapshotWarp) with a following body; `;` excluded so
-# pure declarations never match.
-SNAPSHOT_FN_OPEN = re.compile(
-    r"\b\w*(?:snapshot|restore|Snapshot|Restore)\w*"
-    r"\s*\([^)]*\)[^{};]*\{")
-# A data-member declaration: type tokens, then a `name_` identifier,
-# then ;/=/{ (optionally through an array extent). Assignments like
-# `cursor_ = 0;` do not match (no preceding type token).
-MEMBER_DECL = re.compile(
-    r"^\s*(?:mutable\s+|static\s+|constexpr\s+|inline\s+)*"
-    r"(?!return\b|throw\b|delete\b|new\b|case\b|goto\b)"
-    r"[A-Za-z_][\w:]*(?:\s*<[^;]*>)?[\s&*]+"
-    r"([A-Za-z]\w*_)\s*(?:\[[^\]]*\]\s*)?(?:;|=|\{)")
-SNAPSHOT_SKIP = re.compile(r"SNAPSHOT-SKIP\([^)]*\S[^)]*\)")
-
 # ---- hotpath rule ----------------------------------------------------
 # Per-cycle simulation paths where node-based containers are banned.
 HOTPATH_DIRS = (
@@ -150,21 +113,6 @@ HOTPATH_FILES = {
 HOTPATH_CONTAINER = re.compile(
     r"\bstd::(?:deque|map|unordered_map)\b")
 HOTPATH_ALLOW = re.compile(r"HOTPATH-ALLOW\([^)]*\S[^)]*\)")
-
-def extract_snapshot_bodies(text):
-    """Concatenate the bodies of every snapshot/restore-ish function."""
-    bodies = []
-    for m in SNAPSHOT_FN_OPEN.finditer(text):
-        depth = 1
-        i = m.end()
-        while i < len(text) and depth > 0:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        bodies.append(text[m.end():i])
-    return "\n".join(bodies)
 
 LINE_COMMENT = re.compile(r"//.*$")
 STRING_LIT = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -189,7 +137,6 @@ def guard_name(rel):
 
 WAIVER_KINDS = (
     ("HOTPATH-ALLOW", HOTPATH_ALLOW),
-    ("SNAPSHOT-SKIP", SNAPSHOT_SKIP),
 )
 
 
@@ -330,42 +277,6 @@ class Linter:
 
         if is_header:
             self.lint_guard(rel, lines)
-            self.lint_snapshot_coverage(rel, lines)
-
-    def lint_snapshot_coverage(self, rel, lines):
-        text = "\n".join(lines)
-        if not (SNAPSHOT_DECL.search(text)
-                and RESTORE_DECL.search(text)):
-            return
-        combined = text
-        cpp_path = os.path.join(self.root, rel[:-len(".hpp")] + ".cpp")
-        if os.path.exists(cpp_path):
-            with open(cpp_path, encoding="utf-8",
-                      errors="replace") as f:
-                combined += "\n" + f.read()
-        bodies = extract_snapshot_bodies(combined)
-        for i, raw in enumerate(lines, 1):
-            if SNAPSHOT_SKIP.search(raw):
-                # The marker is live when it annotates a data member:
-                # on its own declaration line, or a comment within
-                # the three lines above one (doc-block style).
-                for j in range(i, min(i + 3, len(lines)) + 1):
-                    if MEMBER_DECL.search(
-                            strip_code_noise(lines[j - 1])):
-                        self.use_waiver(rel, i, "SNAPSHOT-SKIP")
-                        break
-                continue
-            m = MEMBER_DECL.search(strip_code_noise(raw))
-            if not m:
-                continue
-            name = m.group(1)
-            if not re.search(rf"\b{re.escape(name)}\b", bodies):
-                self.report(
-                    rel, i, "snapshot-coverage",
-                    f"member '{name}' of a snapshotted class is "
-                    "never serialized — add it to snapshot()/"
-                    "restore() (and bump kSnapshotFormatVersion) or "
-                    "waive it with `// SNAPSHOT-SKIP(reason)`")
 
     def lint_guard(self, rel, lines):
         want = guard_name(rel)

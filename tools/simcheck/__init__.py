@@ -1,5 +1,5 @@
 """simcheck: AST-grounded semantic analyzer for the simulator's
-determinism and snapshot contracts (DESIGN.md section 15).
+determinism and initialization contracts (DESIGN.md section 15).
 
 Run as a package: python3 tools/simcheck -p build [paths...]
 """

@@ -76,6 +76,21 @@ def available():
         return False
 
 
+def _is_deleted(cursor):
+    """`= delete` declaration? Newer bindings answer directly; older
+    ones expose only the tokens of the declaration's extent."""
+    probe = getattr(cursor, "is_deleted_method", None)
+    if probe is not None:
+        try:
+            return bool(probe())
+        except Exception:
+            pass
+    toks = [t.spelling for t in cursor.get_tokens()]
+    if toks and toks[-1] == ";":
+        toks.pop()
+    return toks[-2:] == ["=", "delete"]
+
+
 def _spelling_tokens(cursor):
     """Lex the cursor's source extent with our own lexer so body token
     streams are identical in shape to the fallback frontend's."""
@@ -267,6 +282,7 @@ class _TuVisitor:
             is_static=bool(
                 getattr(cursor, "is_static_method", lambda: False)()
             ),
+            is_deleted=_is_deleted(cursor),
             body=body,
             init_list=init_list,
         )

@@ -27,7 +27,7 @@ def main(argv=None):
         prog="simcheck",
         description=(
             "AST-grounded semantic analyzer for the simulator's "
-            "determinism and snapshot contracts "
+            "determinism and initialization contracts "
             "(DESIGN.md section 15)."
         ),
     )

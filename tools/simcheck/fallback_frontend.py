@@ -655,12 +655,14 @@ class _Parser:
                     i += 1
 
         body = None
+        is_deleted = False
         if i < end and toks[i].spelling == "{":
             body_end = match_brace(toks, i)
             body = toks[i + 1 : body_end - 1]
             i = body_end
         elif i < end and toks[i].spelling == "=":
             # = default; = delete; = 0;
+            is_deleted = i + 1 < end and toks[i + 1].spelling == "delete"
             i = self._statement_end(i)
         else:
             i = self._statement_end(i)
@@ -681,6 +683,7 @@ class _Parser:
             is_ctor=is_ctor,
             is_static="static" in specifiers,
             is_virtual="virtual" in specifiers,
+            is_deleted=is_deleted,
             body=body,
             init_list=init_list,
         )

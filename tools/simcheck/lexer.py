@@ -4,8 +4,8 @@ Not a conforming lexer — a pragmatic one that is exact about the three
 things the rules need and the regex lint gets wrong:
 
   * comments and string/char literals never leak into code tokens, so
-    a member name in a doc comment cannot satisfy snapshot coverage
-    and a `throw` in a string cannot trip simerror-discipline;
+    a `throw` in a string cannot trip simerror-discipline and a loop
+    in a doc comment cannot trip determinism-hazard;
   * preprocessor directives (with line continuations) are captured as
     single opaque tokens, so macro *definitions* are invisible to
     statement-level rules while macro *uses* still appear as calls;

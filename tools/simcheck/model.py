@@ -32,6 +32,8 @@ class Method:
     is_ctor: bool = False
     is_static: bool = False
     is_virtual: bool = False
+    # Declared `= delete` (never runs).
+    is_deleted: bool = False
     # Token list of the body ({...} content) when the definition was
     # seen (in-class or out-of-line); None for pure declarations.
     body: list = None

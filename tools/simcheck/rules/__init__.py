@@ -53,13 +53,11 @@ def all_rules():
     from . import (
         determinism,
         simerror,
-        snapshot_coverage,
         uninit_member,
     )
 
     return [
         determinism,
         uninit_member,
-        snapshot_coverage,
         simerror,
     ]

@@ -1,19 +1,20 @@
-"""uninit-member: scalar fields of snapshot-bearing classes must be
-initialized — in-class or in every constructor's member-init list.
+"""uninit-member: scalar fields must be initialized — in-class or in
+every constructor's member-init list.
 
-An uninitialized int/bool/pointer/enum field in a snapshotted class is
-the classic divergence seed: two runs construct the object with
-different stack/heap garbage, the field is serialized (or influences
-what is), and replay diverges with no error. Class-typed members are
-exempt (their default constructors run); arrays of scalars are not.
+An uninitialized int/bool/pointer/enum field is the classic
+divergence seed: two runs construct the object with different
+stack/heap garbage, the field influences simulated state, and two
+runs of one (config, workload, seed) disagree with no error.
+Class-typed members are exempt (their default constructors run);
+arrays of scalars are not. Deleted constructors never run, so they
+need not cover anything.
 """
 
 NAME = "uninit-member"
 CONTRACT = (
-    "every scalar data member of a class participating in "
-    "snapshot/restore must have a deterministic initial value: an "
-    "in-class initializer or coverage in every constructor's "
-    "member-init list (DESIGN.md section 15)"
+    "every scalar data member must have a deterministic initial "
+    "value: an in-class initializer or coverage in every "
+    "constructor's member-init list (DESIGN.md section 15)"
 )
 
 SCALAR_HEADS = frozenset(
@@ -22,27 +23,6 @@ SCALAR_HEADS = frozenset(
     int64_t uint8_t uint16_t uint32_t uint64_t pid_t off_t time_t
     signed wchar_t char8_t char16_t char32_t""".split()
 )
-
-
-def is_snapshot_bearing(cls):
-    """Declares the snapshot/restore member pair (either the
-    SnapshotWriter/Reader form or the Gpu-level GpuSnapshot form)."""
-    has_snap = False
-    has_restore = False
-    for m in cls.methods:
-        if m.name == "snapshot":
-            if any(
-                "SnapshotWriter" in p.type_spelling for p in m.params
-            ) or "GpuSnapshot" in (m.return_type or ""):
-                has_snap = True
-        elif m.name == "restore":
-            if any(
-                "SnapshotReader" in p.type_spelling
-                or "GpuSnapshot" in p.type_spelling
-                for p in m.params
-            ):
-                has_restore = True
-    return has_snap and has_restore
 
 
 def _is_scalar_type(type_sp, enum_names):
@@ -68,12 +48,10 @@ def run(ctx):
     for fm, cls in ctx.model.all_classes():
         if not ctx.in_scope(fm.path):
             continue
-        if not is_snapshot_bearing(cls):
-            continue
-        ctors = [m for m in cls.methods if m.is_ctor]
+        ctors = [m for m in cls.methods if m.is_ctor and not m.is_deleted]
         # Constructors that neither have a body nor an init list in
         # the model (pure declarations whose definitions were not
-        # found, `= default`, `= delete`) count as covering nothing.
+        # found, `= default`) count as covering nothing.
         for f in cls.fields:
             if f.is_static or f.has_initializer:
                 continue
@@ -82,7 +60,6 @@ def run(ctx):
             if ctors and all(
                 any(name == f.name for name, _ in c.init_list)
                 for c in ctors
-                if True
             ):
                 continue
             where = (
@@ -94,10 +71,9 @@ def run(ctx):
                 f.file,
                 f.line,
                 NAME,
-                f"field '{f.name}' ({f.type_spelling}) of "
-                f"snapshot-bearing class '{cls.name}' has no "
-                f"in-class initializer and {where} — its initial "
-                "value is construction garbage, the classic "
-                "replay-divergence seed",
+                f"field '{f.name}' ({f.type_spelling}) of class "
+                f"'{cls.name}' has no in-class initializer and "
+                f"{where} — its initial value is construction "
+                "garbage, the classic run-divergence seed",
                 CONTRACT,
             )

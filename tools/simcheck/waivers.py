@@ -11,13 +11,7 @@ its neighbor):
 The rule name and the reason are both mandatory — a waiver without a
 reason is itself a finding (`waiver-syntax`), and a waiver that no
 longer suppresses anything is itself a finding (`unused-waiver`), so
-waivers cannot rot. The legacy marker from tools/lint_sim.py is
-honored where its semantics match an AST rule:
-
-    // SNAPSHOT-SKIP(reason)   — snapshot-coverage-v2, on a field
-
-(Its *unused* detection lives in lint_sim.py's unused-waiver rule,
-which owns that marker namespace.)
+waivers cannot rot.
 """
 
 import re
@@ -28,13 +22,6 @@ ALLOW_RE = re.compile(
 # Prose that merely mentions the marker name (docs, this file) is
 # not a waiver attempt; only `SIMCHECK-ALLOW(` starts one.
 ALLOW_ANY_RE = re.compile(r"SIMCHECK-ALLOW\(")
-
-LEGACY_MARKERS = {
-    "snapshot-coverage-v2": re.compile(
-        r"SNAPSHOT-SKIP\([^)]*\S[^)]*\)"
-    ),
-}
-
 
 class Waiver:
     __slots__ = ("file", "line", "rule", "reason", "used")
@@ -86,15 +73,6 @@ class WaiverSet:
             for w in self._by_loc.get((rel, ln), ()):
                 if w.rule == rule:
                     w.used = True
-                    return True
-        # Legacy markers (same rule, same placement convention).
-        legacy = LEGACY_MARKERS.get(rule)
-        if legacy is not None:
-            lines = self._file_lines.get(rel, [])
-            for ln in candidates:
-                if 1 <= ln <= len(lines) and legacy.search(
-                    lines[ln - 1]
-                ):
                     return True
         return False
 
