@@ -1,46 +1,16 @@
 #include "campaign/campaign_engine.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "campaign/wire.hpp"
-#include "campaign/worker.hpp"
 #include "metrics/journal.hpp"
 #include "metrics/sweep_engine.hpp"
 #include "sim/check.hpp"
 
 namespace ckesim {
-
-const char *
-campaignJobStateName(CampaignJobState state)
-{
-    switch (state) {
-      case CampaignJobState::Completed:
-        return "completed";
-      case CampaignJobState::Failed:
-        return "failed";
-      case CampaignJobState::Poisoned:
-        return "poisoned";
-      case CampaignJobState::Exhausted:
-        return "exhausted";
-      case CampaignJobState::Drained:
-        return "drained";
-    }
-    return "unknown";
-}
 
 bool
 CampaignOutcome::allCompleted() const
@@ -103,813 +73,111 @@ formatCampaignTable(const std::string &name, std::uint64_t cycles,
     return out;
 }
 
-std::string
-CampaignEngine::shardPath(const std::string &base, int slot)
-{
-    return base + ".shard" + std::to_string(slot);
-}
-
-std::string
-CampaignEngine::mergedPath(const std::string &base)
-{
-    return base + ".merged";
-}
-
 CampaignEngine::CampaignEngine(CampaignOptions opts)
     : opts_(std::move(opts))
 {
-    opts_.workers = std::max(opts_.workers, 1);
-    opts_.max_dispatch_attempts =
-        std::max(opts_.max_dispatch_attempts, 1);
-    opts_.poison_worker_deaths =
-        std::max(opts_.poison_worker_deaths, 1);
-    for (const ProcFaultSpec &spec : opts_.faults.specs())
-        validateProcFaultSpec(spec);
+    Fleet::normalize(opts_);
 }
-
-// ---- per-campaign state --------------------------------------------------
 
 namespace {
 
-using Clock = std::chrono::steady_clock; // LINT-ALLOW(determinism): fleet liveness timing, never simulated state
-using Millis = std::chrono::milliseconds;
-
-/** Largest shard slot probed when resuming (beyond the current
- *  worker count, so shrinking the fleet never loses results). */
-constexpr int kMaxResumeShards = 256;
-
-struct PendingDispatch
-{
-    std::uint32_t job_index = 0;
-    int attempt = 0;         ///< 0-based dispatch attempt
-    Clock::time_point ready; ///< jittered-backoff gate
-};
-
-struct WorkerSlot
-{
-    pid_t pid = -1;
-    int fd = -1;
-    FrameParser parser;
-    bool alive = false;
-    bool running = false;
-    std::uint32_t job_index = 0;
-    int attempt = 0;
-    Clock::time_point last_beat;
-};
-
-} // namespace
-
-class CampaignEngine::Run
-{
-  public:
-    Run(CampaignEngine &eng, const std::vector<SimJob> &jobs)
-        : eng_(eng), opts_(eng.opts_), jobs_(jobs),
-          fingerprint_(campaignFingerprint(jobs))
-    {
-        outcome_.jobs.resize(jobs_.size());
-        for (std::size_t i = 0; i < jobs_.size(); ++i)
-            by_key_[jobs_[i].key()].push_back(
-                static_cast<std::uint32_t>(i));
-    }
-
-    CampaignOutcome execute();
-
-  private:
-    bool drainRequested() const
-    {
-        return eng_.drain_.load(std::memory_order_relaxed);
-    }
-
-    void loadJournals();
-    void resolveFromRecovered(
-        const std::unordered_map<std::uint64_t, SimResult> &found);
-    void openShards();
-
-    void resolve(std::uint32_t index, CampaignJobOutcome outcome);
-    void resolveKeyCompleted(std::uint64_t key,
-                             const SimResult &result, int attempts,
-                             bool from_journal, int shard_slot);
-    std::size_t unresolved() const
-    {
-        return jobs_.size() - resolved_count_;
-    }
-
-    bool spawnWorker(int slot, bool respawn);
-    void fleetLoop();
-    void dispatchReady();
-    void handleReadable(int slot);
-    void handleFrame(int slot, const Frame &frame);
-    void workerLost(int slot, bool hang);
-    void killWorker(int slot);
-    void reclaimJob(std::uint32_t index, int attempt, bool death);
-    void checkLiveness();
-    void shutdownFleet();
-
-    void runInProcess();
-    void drainPending();
-    void writeMerged();
-
-    CampaignEngine &eng_;
-    const CampaignOptions &opts_;
-    const std::vector<SimJob> &jobs_;
-    const std::uint64_t fingerprint_;
-
-    CampaignOutcome outcome_;
-    std::vector<bool> resolved_;
-    std::size_t resolved_count_ = 0;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-        by_key_;
-    std::unordered_map<std::uint32_t, int> deaths_by_job_;
-
-    std::vector<PendingDispatch> pending_;
-    std::vector<WorkerSlot> slots_;
-    std::vector<std::unique_ptr<ResultJournal>> shards_;
-    ProcFaultPlan orchestrator_faults_;
-    int respawns_left_ = 0;
-};
-
-// ---- journal recovery ----------------------------------------------------
-
+/**
+ * Rewrite the merged journal from scratch, so it is a pure function
+ * of (job list, results): submission order, duplicate keys collapsed
+ * to their first occurrence.
+ */
 void
-CampaignEngine::Run::loadJournals()
+writeMerged(const std::string &base, const std::vector<SimJob> &jobs,
+            const std::vector<CampaignJobOutcome> &outcomes)
 {
-    if (opts_.journal_base.empty())
-        return;
-    std::unordered_map<std::uint64_t, SimResult> found;
-
-    // Probe merged + shard files with the campaign's own keys: the
-    // journal API is key-addressed, which is exactly what we need.
-    std::vector<std::string> paths;
-    const std::string merged = mergedPath(opts_.journal_base);
-    if (::access(merged.c_str(), F_OK) == 0)
-        paths.push_back(merged);
-    for (int slot = 0; slot < kMaxResumeShards; ++slot) {
-        const std::string path =
-            shardPath(opts_.journal_base, slot);
-        if (::access(path.c_str(), F_OK) != 0) {
-            if (slot >= opts_.workers)
-                break;
-            continue;
-        }
-        paths.push_back(path);
-    }
-    for (const std::string &path : paths) {
-        ResultJournal journal;
-        journal.open(path);
-        // Probe in submission order (jobs_), not by_key_ bucket
-        // order: `found` insertion order feeds recovery accounting,
-        // and hash-order probing made that machine-dependent.
-        for (const SimJob &job : jobs_) {
-            const std::uint64_t key = job.key();
-            if (found.count(key) != 0)
-                continue;
-            SimResult r;
-            if (journal.find(key, r))
-                found.emplace(key, std::move(r));
-        }
-    }
-    resolveFromRecovered(found);
-}
-
-void
-CampaignEngine::Run::resolveFromRecovered(
-    const std::unordered_map<std::uint64_t, SimResult> &found)
-{
-    // Resolve in submission order: resolveKeyCompleted appends to
-    // journals and outcome records, so walking the unordered_map
-    // here would bake hash-bucket order into merged output.
-    std::unordered_set<std::uint64_t> done;
-    for (const SimJob &job : jobs_) {
-        const std::uint64_t key = job.key();
-        if (!done.insert(key).second)
-            continue;
-        const auto it = found.find(key);
-        if (it != found.end())
-            resolveKeyCompleted(key, it->second, 0,
-                                /*from_journal=*/true,
-                                /*shard_slot=*/-1);
-    }
-}
-
-void
-CampaignEngine::Run::openShards()
-{
-    if (opts_.journal_base.empty())
-        return;
-    shards_.resize(static_cast<std::size_t>(opts_.workers));
-    for (int slot = 0; slot < opts_.workers; ++slot) {
-        shards_[static_cast<std::size_t>(slot)] =
-            std::make_unique<ResultJournal>();
-        shards_[static_cast<std::size_t>(slot)]->open(
-            shardPath(opts_.journal_base, slot));
-    }
-}
-
-// ---- resolution ----------------------------------------------------------
-
-void
-CampaignEngine::Run::resolve(std::uint32_t index,
-                             CampaignJobOutcome outcome)
-{
-    auto &slot = outcome_.jobs[index];
-    if (resolved_[index])
-        return;
-    resolved_[index] = true;
-    ++resolved_count_;
-    switch (outcome.state) {
-      case CampaignJobState::Completed:
-        ++outcome_.report.completed;
-        break;
-      case CampaignJobState::Failed:
-        ++outcome_.report.failed;
-        break;
-      case CampaignJobState::Poisoned:
-        ++outcome_.report.poisoned;
-        break;
-      case CampaignJobState::Exhausted:
-      case CampaignJobState::Drained:
-        break;
-    }
-    slot = std::move(outcome);
-}
-
-void
-CampaignEngine::Run::resolveKeyCompleted(std::uint64_t key,
-                                         const SimResult &result,
-                                         int attempts,
-                                         bool from_journal,
-                                         int shard_slot)
-{
-    const auto it = by_key_.find(key);
-    if (it == by_key_.end())
-        return;
-    // A second result for an already-resolved key (two duplicate-key
-    // jobs in flight at once) adds nothing: the first one was already
-    // recorded durably.
-    bool any_unresolved = false;
-    for (const std::uint32_t index : it->second)
-        if (!resolved_[index]) {
-            any_unresolved = true;
-            break;
-        }
-    if (!any_unresolved)
-        return;
-    if (shard_slot >= 0 &&
-        shard_slot < static_cast<int>(shards_.size()))
-        shards_[static_cast<std::size_t>(shard_slot)]->append(key,
-                                                             result);
-    for (const std::uint32_t index : it->second) {
-        if (resolved_[index])
-            continue;
-        CampaignJobOutcome out;
-        out.state = CampaignJobState::Completed;
-        out.result = result;
-        out.attempts = attempts;
-        out.from_journal = from_journal;
-        resolve(index, std::move(out));
-        if (from_journal)
-            ++outcome_.report.journal_hits;
-    }
-}
-
-// ---- fleet management ----------------------------------------------------
-
-bool
-CampaignEngine::Run::spawnWorker(int slot, bool respawn)
-{
-    if (orchestrator_faults_.fire(ProcFaultKind::FailSpawn, slot, -1,
-                                  respawn ? 1 : 0))
-        return false;
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-        return false;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(sv[0]);
-        ::close(sv[1]);
-        return false;
-    }
-    if (pid == 0) {
-        // Child: drop every inherited orchestrator-side fd, serve
-        // the socket, and leave without running atexit machinery.
-        ::close(sv[0]);
-        for (const WorkerSlot &other : slots_)
-            if (other.alive && other.fd >= 0)
-                ::close(other.fd);
-        ::signal(SIGTERM, SIG_DFL);
-        ::signal(SIGINT, SIG_DFL);
-        WorkerConfig wc;
-        wc.fd = sv[1];
-        wc.worker_index = slot;
-        wc.heartbeat_ms = opts_.heartbeat_ms;
-        wc.faults = opts_.faults;
-        int status = 1;
-        try {
-            status = runCampaignWorker(wc, jobs_);
-        } catch (...) {
-            status = 1;
-        }
-        ::_exit(status);
-    }
-    ::close(sv[1]);
-    const int flags = ::fcntl(sv[0], F_GETFL, 0);
-    (void)::fcntl(sv[0], F_SETFL, flags | O_NONBLOCK);
-
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    ws = WorkerSlot{};
-    ws.pid = pid;
-    ws.fd = sv[0];
-    ws.alive = true;
-    ws.last_beat = Clock::now(); // fleet liveness timing
-    if (respawn)
-        ++outcome_.report.workers_respawned;
-    return true;
-}
-
-void
-CampaignEngine::Run::killWorker(int slot)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    if (!ws.alive)
-        return;
-    ::kill(ws.pid, SIGKILL);
-}
-
-void
-CampaignEngine::Run::reclaimJob(std::uint32_t index, int attempt,
-                                bool death)
-{
-    if (resolved_[index])
-        return;
-    const std::uint64_t key = jobs_[index].key();
-    if (death) {
-        const int deaths = ++deaths_by_job_[index];
-        if (deaths >= opts_.poison_worker_deaths) {
-            CampaignJobOutcome out;
-            out.state = CampaignJobState::Poisoned;
-            out.error_kind = "Poisoned";
-            out.error_detail =
-                "job " + std::to_string(index) + " (" +
-                jobs_[index].describe() + ") killed " +
-                std::to_string(deaths) +
-                " worker(s); quarantined instead of re-dispatched";
-            out.attempts = attempt + 1;
-            resolve(index, std::move(out));
-            return;
-        }
-    }
-    if (attempt + 1 >= opts_.max_dispatch_attempts) {
-        CampaignJobOutcome out;
-        out.state = CampaignJobState::Exhausted;
-        out.error_kind = "Dispatch";
-        out.error_detail =
-            "job " + std::to_string(index) + " spent all " +
-            std::to_string(opts_.max_dispatch_attempts) +
-            " dispatch attempts without returning a result";
-        out.attempts = attempt + 1;
-        resolve(index, std::move(out));
-        return;
-    }
-    PendingDispatch pd;
-    pd.job_index = index;
-    pd.attempt = attempt + 1;
-    RetryPolicy policy;
-    policy.backoff_ms = opts_.backoff_base_ms;
-    policy.jitter_pct = opts_.backoff_jitter_pct;
-    pd.ready = Clock::now() + // re-dispatch backoff gate
-               Millis(retryBackoffMs(policy, key, attempt));
-    pending_.push_back(pd);
-    ++outcome_.report.redispatched;
-}
-
-void
-CampaignEngine::Run::workerLost(int slot, bool hang)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    if (!ws.alive)
-        return;
-    if (hang) {
-        killWorker(slot);
-        ++outcome_.report.hung_workers_killed;
-    }
-    int status = 0;
-    (void)::waitpid(ws.pid, &status, 0);
-    ::close(ws.fd);
-    ws.fd = -1;
-    ws.alive = false;
-    ++outcome_.report.worker_deaths;
-
-    const bool owned_job = ws.running;
-    const std::uint32_t index = ws.job_index;
-    const int attempt = ws.attempt;
-    ws.running = false;
-    if (owned_job)
-        reclaimJob(index, attempt, /*death=*/true);
-
-    // Replace the worker while there is still work it could do.
-    if (unresolved() > 0 && !drainRequested() &&
-        respawns_left_ > 0) {
-        --respawns_left_;
-        (void)spawnWorker(slot, /*respawn=*/true);
-    }
-}
-
-void
-CampaignEngine::Run::dispatchReady()
-{
-    if (drainRequested())
-        return;
-    const auto now = Clock::now(); // backoff gate comparison
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-        WorkerSlot &ws = slots_[s];
-        if (!ws.alive || ws.running)
-            continue;
-        // Purge dispatches for jobs resolved some other way (journal
-        // hit on a duplicate key, poison quarantine), then take the
-        // first whose backoff gate has opened.
-        pending_.erase(
-            std::remove_if(pending_.begin(), pending_.end(),
-                           [this](const PendingDispatch &pd) {
-                               return resolved_[pd.job_index];
-                           }),
-            pending_.end());
-        auto it = pending_.begin();
-        while (it != pending_.end() && it->ready > now)
-            ++it;
-        if (it == pending_.end())
-            return;
-        const PendingDispatch pd = *it;
-        pending_.erase(it);
-
-        Frame dispatch;
-        dispatch.type = FrameType::Dispatch;
-        dispatch.job_index = pd.job_index;
-        dispatch.aux = static_cast<std::uint32_t>(pd.attempt);
-        dispatch.key = jobs_[pd.job_index].key();
-        if (!writeFrame(ws.fd, dispatch)) {
-            // The worker is unreachable; requeue and reap it.
-            pending_.push_back(pd);
-            workerLost(static_cast<int>(s), /*hang=*/false);
-            continue;
-        }
-        ws.running = true;
-        ws.job_index = pd.job_index;
-        ws.attempt = pd.attempt;
-        ws.last_beat = now;
-        ++outcome_.report.dispatched;
-    }
-}
-
-void
-CampaignEngine::Run::handleFrame(int slot, const Frame &frame)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    switch (frame.type) {
-      case FrameType::Hello:
-        if (frame.key != fingerprint_) {
-            // A worker that disagrees about the campaign cannot be
-            // trusted with index-based dispatch.
-            ++outcome_.report.corrupt_frames;
-            workerLost(slot, /*hang=*/true);
-            return;
-        }
-        ws.last_beat = Clock::now(); // fleet liveness timing
-        break;
-      case FrameType::Heartbeat:
-        ws.last_beat = Clock::now(); // fleet liveness timing
-        ++outcome_.report.heartbeats;
-        break;
-      case FrameType::Result: {
-        if (!ws.running || frame.job_index != ws.job_index ||
-            frame.key != jobs_[ws.job_index].key()) {
-            ++outcome_.report.corrupt_frames;
-            workerLost(slot, /*hang=*/true);
-            return;
-        }
-        SimResult result;
-        try {
-            result = decodeSimResult(frame.payload);
-        } catch (const SimError &) {
-            ++outcome_.report.corrupt_frames;
-            workerLost(slot, /*hang=*/true);
-            return;
-        }
-        ws.running = false;
-        ws.last_beat = Clock::now(); // fleet liveness timing
-        resolveKeyCompleted(frame.key, result, ws.attempt + 1,
-                            /*from_journal=*/false, slot);
-        break;
-      }
-      case FrameType::JobError: {
-        if (!ws.running || frame.job_index != ws.job_index) {
-            ++outcome_.report.corrupt_frames;
-            workerLost(slot, /*hang=*/true);
-            return;
-        }
-        CampaignJobOutcome out;
-        out.state = CampaignJobState::Failed;
-        try {
-            decodeJobError(frame.payload, out.error_kind,
-                           out.error_detail);
-        } catch (const SimError &) {
-            ++outcome_.report.corrupt_frames;
-            workerLost(slot, /*hang=*/true);
-            return;
-        }
-        out.attempts = ws.attempt + 1;
-        ws.running = false;
-        ws.last_beat = Clock::now(); // fleet liveness timing
-        resolve(ws.job_index, std::move(out));
-        break;
-      }
-      default:
-        // Orchestrator-bound streams must never carry dispatch,
-        // shutdown or submission-protocol frames.
-        ++outcome_.report.corrupt_frames;
-        workerLost(slot, /*hang=*/true);
-        break;
-    }
-}
-
-void
-CampaignEngine::Run::handleReadable(int slot)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    std::uint8_t chunk[1 << 16];
-    for (;;) {
-        const ssize_t n = ::read(ws.fd, chunk, sizeof chunk);
-        if (n > 0) {
-            ws.parser.feed(chunk,
-                           static_cast<std::size_t>(n));
-            if (n < static_cast<ssize_t>(sizeof chunk))
-                break;
-            continue;
-        }
-        if (n == 0) {
-            workerLost(slot, /*hang=*/false);
-            return;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        workerLost(slot, /*hang=*/false);
-        return;
-    }
-    if (ws.parser.corrupt()) {
-        ++outcome_.report.corrupt_frames;
-        workerLost(slot, /*hang=*/true);
-        return;
-    }
-    Frame frame;
-    while (ws.alive && ws.parser.next(frame))
-        handleFrame(slot, frame);
-}
-
-void
-CampaignEngine::Run::checkLiveness()
-{
-    const auto now = Clock::now(); // fleet liveness timing
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-        WorkerSlot &ws = slots_[s];
-        if (!ws.alive || !ws.running)
-            continue;
-        if (now - ws.last_beat >
-            Millis(opts_.liveness_deadline_ms))
-            workerLost(static_cast<int>(s), /*hang=*/true);
-    }
-}
-
-void
-CampaignEngine::Run::drainPending()
-{
-    outcome_.report.drain_requested = true;
-    for (const PendingDispatch &pd : pending_) {
-        if (resolved_[pd.job_index])
-            continue;
-        CampaignJobOutcome out;
-        out.state = CampaignJobState::Drained;
-        out.error_kind = "Drained";
-        out.error_detail = "campaign drained before the job ran";
-        out.attempts = pd.attempt;
-        resolve(pd.job_index, std::move(out));
-        ++outcome_.report.drained;
-    }
-    pending_.clear();
-}
-
-void
-CampaignEngine::Run::fleetLoop()
-{
-    while (unresolved() > 0) {
-        // Re-drained every iteration: a job reclaimed from a worker
-        // that died *after* the drain request lands back in pending_
-        // and must be marked Drained too, or the loop never ends.
-        if (drainRequested())
-            drainPending();
-        const bool any_alive = std::any_of(
-            slots_.begin(), slots_.end(),
-            [](const WorkerSlot &ws) { return ws.alive; });
-        if (!any_alive) {
-            // The fleet is gone and cannot be replaced: finish the
-            // rest in-process rather than abandoning the campaign.
-            outcome_.report.degraded_in_process = true;
-            runInProcess();
-            return;
-        }
-
-        dispatchReady();
-
-        std::vector<struct pollfd> pfds;
-        std::vector<int> pfd_slots;
-        for (std::size_t s = 0; s < slots_.size(); ++s) {
-            if (!slots_[s].alive)
-                continue;
-            struct pollfd pfd;
-            pfd.fd = slots_[s].fd;
-            pfd.events = POLLIN;
-            pfd.revents = 0;
-            pfds.push_back(pfd);
-            pfd_slots.push_back(static_cast<int>(s));
-        }
-        const int n =
-            ::poll(pfds.data(),
-                   static_cast<nfds_t>(pfds.size()), 20);
-        if (n < 0 && errno != EINTR)
-            break; // should not happen; avoid spinning on error
-        for (std::size_t i = 0; i < pfds.size(); ++i) {
-            const int slot = pfd_slots[i];
-            if (!slots_[static_cast<std::size_t>(slot)].alive)
-                continue;
-            if ((pfds[i].revents & POLLIN) != 0)
-                handleReadable(slot);
-            else if ((pfds[i].revents & (POLLHUP | POLLERR)) != 0)
-                workerLost(slot, /*hang=*/false);
-        }
-        checkLiveness();
-    }
-}
-
-void
-CampaignEngine::Run::shutdownFleet()
-{
-    Frame shutdown;
-    shutdown.type = FrameType::Shutdown;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-        WorkerSlot &ws = slots_[s];
-        if (!ws.alive)
-            continue;
-        (void)writeFrame(ws.fd, shutdown);
-    }
-    // Grace period, then force.
-    const auto deadline = Clock::now() + Millis(2000); // shutdown grace period
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-        WorkerSlot &ws = slots_[s];
-        if (!ws.alive)
-            continue;
-        for (;;) {
-            int status = 0;
-            const pid_t got = ::waitpid(ws.pid, &status, WNOHANG);
-            if (got == ws.pid || got < 0)
-                break;
-            if (Clock::now() >= deadline) { // shutdown grace period
-                ::kill(ws.pid, SIGKILL);
-                (void)::waitpid(ws.pid, &status, 0);
-                break;
-            }
-            struct timespec ts = {0, 5 * 1000 * 1000};
-            ::nanosleep(&ts, nullptr);
-        }
-        ::close(ws.fd);
-        ws.fd = -1;
-        ws.alive = false;
-    }
-}
-
-// ---- degraded mode -------------------------------------------------------
-
-void
-CampaignEngine::Run::runInProcess()
-{
-    SweepEngine engine(1);
-    ResultJournal *shard =
-        shards_.empty() ? nullptr : shards_.front().get();
-    if (shard != nullptr)
-        engine.setJournal(shard);
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        const std::uint32_t index = static_cast<std::uint32_t>(i);
-        if (resolved_[index])
-            continue;
-        if (drainRequested()) {
-            CampaignJobOutcome out;
-            out.state = CampaignJobState::Drained;
-            out.error_kind = "Drained";
-            out.error_detail =
-                "campaign drained before the job ran";
-            resolve(index, std::move(out));
-            ++outcome_.report.drained;
-            continue;
-        }
-        try {
-            const SimResult result = engine.run(jobs_[index]);
-            resolveKeyCompleted(jobs_[index].key(), result, 1,
-                                /*from_journal=*/false,
-                                /*shard_slot=*/-1);
-        } catch (const SimError &e) {
-            CampaignJobOutcome out;
-            out.state = CampaignJobState::Failed;
-            out.error_kind = e.kind();
-            out.error_detail = e.what();
-            out.attempts = 1;
-            resolve(index, std::move(out));
-        }
-    }
-}
-
-// ---- merge ---------------------------------------------------------------
-
-void
-CampaignEngine::Run::writeMerged()
-{
-    if (opts_.journal_base.empty())
-        return;
-    const std::string path = mergedPath(opts_.journal_base);
-    // Rebuilt from scratch every completion so the merged journal is
-    // a pure function of (job list, results): submission order,
-    // duplicate keys collapsed to their first occurrence.
+    const std::string path = Fleet::mergedPath(base);
     (void)::unlink(path.c_str());
     ResultJournal merged;
     merged.open(path);
     std::unordered_set<std::uint64_t> written;
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        const CampaignJobOutcome &out = outcome_.jobs[i];
-        if (!out.ok())
-            continue;
-        const std::uint64_t key = jobs_[i].key();
-        if (!written.insert(key).second)
-            continue;
-        merged.append(key, out.result);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::uint64_t key = jobs[i].key();
+        if (outcomes[i].ok() && written.insert(key).second)
+            merged.append(key, outcomes[i].result);
     }
 }
 
-// ---- top level -----------------------------------------------------------
-
-CampaignOutcome
-CampaignEngine::Run::execute()
-{
-    resolved_.assign(jobs_.size(), false);
-    respawns_left_ = opts_.max_worker_respawns;
-    orchestrator_faults_ = opts_.faults;
-
-    loadJournals();
-    openShards();
-
-    if (unresolved() > 0) {
-        if (opts_.force_in_process) {
-            outcome_.report.degraded_in_process = true;
-            runInProcess();
-        } else {
-            slots_.resize(
-                static_cast<std::size_t>(opts_.workers));
-            int spawned = 0;
-            for (int s = 0; s < opts_.workers; ++s)
-                if (spawnWorker(s, /*respawn=*/false))
-                    ++spawned;
-            if (spawned == 0) {
-                // Fleet unavailable (fork failure, injected spawn
-                // fault): degrade rather than fail the campaign.
-                outcome_.report.degraded_in_process = true;
-                runInProcess();
-            } else {
-                pending_.reserve(jobs_.size());
-                const auto now = Clock::now(); // initial dispatch gate
-                for (std::size_t i = 0; i < jobs_.size(); ++i) {
-                    if (resolved_[i])
-                        continue;
-                    PendingDispatch pd;
-                    pd.job_index =
-                        static_cast<std::uint32_t>(i);
-                    pd.attempt = 0;
-                    pd.ready = now;
-                    pending_.push_back(pd);
-                }
-                fleetLoop();
-                shutdownFleet();
-            }
-        }
-    }
-
-    if (drainRequested())
-        outcome_.report.drain_requested = true;
-    writeMerged();
-    return std::move(outcome_);
-}
+} // namespace
 
 CampaignOutcome
 CampaignEngine::run(const std::vector<SimJob> &jobs)
 {
-    Run run(*this, jobs);
-    return run.execute();
+    CampaignOutcome outcome;
+    outcome.jobs.resize(jobs.size());
+    CampaignReport &report = outcome.report;
+    std::vector<bool> resolved(jobs.size(), false);
+    std::size_t unresolved = jobs.size();
+    const auto drainRequested = [this] {
+        return drain_.load(std::memory_order_relaxed);
+    };
+    {
+        Fleet fleet(opts_, jobs, report,
+                    [&](std::uint64_t token, std::uint64_t,
+                        const CampaignJobOutcome &out, bool) {
+                        outcome.jobs[token] = out;
+                        resolved[token] = true;
+                        --unresolved;
+                        if (out.state == CampaignJobState::Completed)
+                            ++report.completed;
+                        else if (out.state == CampaignJobState::Failed)
+                            ++report.failed;
+                        else if (out.state == CampaignJobState::Drained)
+                            ++report.drained;
+                    });
+        // Workers inherit the list, so dispatches carry no payload.
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            fleet.submit(jobs[i].key(), static_cast<std::uint32_t>(i),
+                         {}, i);
+        if (drainRequested())
+            fleet.drain();
+
+        if (unresolved > 0 && !opts_.force_in_process &&
+            fleet.start({}) > 0) {
+            std::vector<struct pollfd> none;
+            while (unresolved > 0 &&
+                   (fleet.aliveWorkers() > 0 || fleet.canRespawn())) {
+                if (drainRequested())
+                    fleet.drain();
+                fleet.step(none, 20);
+            }
+        }
+        fleet.shutdown();
+
+        // No fleet (forced, fork failure, injected spawn fault, or
+        // every worker lost for good): finish in-process rather than
+        // abandon the campaign.
+        if (unresolved > 0) {
+            report.degraded_in_process = true;
+            SweepEngine engine(1);
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                if (resolved[i])
+                    continue;
+                if (drainRequested()) {
+                    fleet.drain();
+                    break;
+                }
+                CampaignJobOutcome out;
+                out.attempts = 1;
+                try {
+                    out.result = engine.run(jobs[i]);
+                    out.state = CampaignJobState::Completed;
+                } catch (const SimError &e) {
+                    out.state = CampaignJobState::Failed;
+                    out.error_kind = e.kind();
+                    out.error_detail = e.what();
+                }
+                fleet.resolveInProcess(jobs[i].key(), std::move(out));
+            }
+        }
+    }
+    if (!opts_.journal_base.empty())
+        writeMerged(opts_.journal_base, jobs, outcome.jobs);
+    return outcome;
 }
 
 } // namespace ckesim

@@ -1,34 +1,17 @@
 /**
  * @file
- * Fault-tolerant multi-process campaign orchestrator.
+ * Batch campaign front end: run one job list to terminal states over
+ * the forked worker Fleet (campaign/fleet.hpp) and return the outcome
+ * table.
  *
- * A CampaignEngine turns a job list into a fleet: it forks N worker
- * processes (each inheriting the job list, so dispatch is by index +
- * content hash over the CRC-framed wire in campaign/wire.hpp), and a
- * single-threaded poll() loop dispatches jobs, collects results and
- * supervises liveness. Robustness is the point:
- *
- *  - worker heartbeats ride the simulator's run-control poll cadence;
- *    a worker whose heartbeats stop past the liveness deadline is
- *    SIGKILLed and its job re-dispatched;
- *  - a worker that dies (crash, OOM, injected SIGKILL) surfaces as a
- *    closed socket; its job is re-dispatched with bounded attempts
- *    and deterministic jittered backoff (reusing the SweepEngine's
- *    retryBackoffMs);
- *  - a corrupt frame marks the worker compromised: killed, respawned,
- *    job re-dispatched;
- *  - a poison job — one that kills K workers — is quarantined as a
- *    structured error instead of being retried forever;
- *  - when workers cannot be spawned at all the campaign degrades to
- *    in-process SweepEngine execution;
- *  - SIGTERM (via requestDrain()) finishes in-flight jobs, marks the
- *    rest Drained, and shuts the fleet down cleanly.
- *
- * Durability: with a journal base set, every received result is
- * appended to one journal shard per worker slot (fsync'd, CRC'd — the
- * metrics/journal format), so an orchestrator crash loses nothing
- * that was handed back; on completion the shards are merged in job
- * submission order into a canonical merged journal whose bytes are
+ * The workers inherit the job list at fork, so a dispatch names a job
+ * by index and content hash with an empty payload. Every job is
+ * submitted once; the fleet's journal probe, dedupe, liveness and
+ * reclaim policy decide the rest (DESIGN.md section 12). When no
+ * worker can be spawned the campaign runs in-process through a serial
+ * SweepEngine. With a journal base, results land in per-slot shards
+ * as they arrive, and a completed run rewrites <base>.merged in
+ * submission order, duplicate keys collapsed, so its bytes are
  * identical for any worker count and any crash/redispatch history.
  */
 
@@ -40,95 +23,25 @@
 #include <string>
 #include <vector>
 
+#include "campaign/fleet.hpp"
 #include "metrics/sim_job.hpp"
-#include "sim/procfault.hpp"
 
 namespace ckesim {
 
-/** Fleet shape, liveness policy and durability of one campaign. */
-struct CampaignOptions
+/** Fleet shape and durability of one batch campaign. */
+struct CampaignOptions : FleetOptions
 {
-    /** Worker processes to fork; values < 1 are clamped to 1. */
-    int workers = 1;
-
-    /** Journal base path; shards land at <base>.shard<N> and the
-     *  merged journal at <base>.merged. Empty = in-memory only. */
-    std::string journal_base;
-
-    /** Minimum gap between worker heartbeats. */
-    std::uint64_t heartbeat_ms = 25;
-
-    /** No heartbeat for this long while owning a job = hung worker:
-     *  SIGKILL and re-dispatch. */
-    std::uint64_t liveness_deadline_ms = 5000;
-
-    /** Max dispatch attempts per job across worker deaths/hangs. */
-    int max_dispatch_attempts = 4;
-
-    /** Worker deaths a single job may cause before it is quarantined
-     *  as poisoned. */
-    int poison_worker_deaths = 2;
-
-    /** Base for the jittered re-dispatch backoff (0 = immediate). */
-    std::uint64_t backoff_base_ms = 0;
-
-    /** Jitter percentage for the re-dispatch backoff. */
-    std::uint32_t backoff_jitter_pct = 50;
-
-    /** Total worker respawns allowed before the campaign stops
-     *  replacing dead workers (it finishes with the survivors, or
-     *  degrades to in-process execution if none remain). */
-    int max_worker_respawns = 64;
-
-    /** Fleet-fault injection plan (kill/stall/corrupt/drop/spawn). */
-    ProcFaultPlan faults;
-
     /** Skip the fleet entirely and run in-process (degraded mode). */
     bool force_in_process = false;
 };
 
-/** Terminal state of one campaign job. */
-enum class CampaignJobState : std::uint8_t {
-    Completed = 0, ///< result is valid
-    Failed,        ///< structured SimError from the simulation
-    Poisoned,      ///< quarantined after killing K workers
-    Exhausted,     ///< max_dispatch_attempts spent without a result
-    Drained,       ///< campaign drained before the job ran
-};
-
-/** Display name of a CampaignJobState. */
-const char *campaignJobStateName(CampaignJobState state);
-
-/** What became of one job, in submission order. */
-struct CampaignJobOutcome
+/** Per-job accounting of one campaign run, on top of the fleet's. */
+struct CampaignReport : FleetReport
 {
-    CampaignJobState state = CampaignJobState::Drained;
-    SimResult result;         ///< set when state == Completed
-    std::string error_kind;   ///< SimError kind / "Poisoned" / ...
-    std::string error_detail; ///< human-readable failure story
-    int attempts = 0;         ///< dispatch attempts consumed
-    bool from_journal = false; ///< served from a shard/merged journal
-
-    bool ok() const { return state == CampaignJobState::Completed; }
-};
-
-/** Fleet-level accounting of one campaign run. */
-struct CampaignReport
-{
-    std::uint64_t completed = 0;        ///< jobs with results
-    std::uint64_t journal_hits = 0;     ///< served without dispatch
-    std::uint64_t dispatched = 0;       ///< dispatch frames sent
-    std::uint64_t redispatched = 0;     ///< re-dispatches after loss
-    std::uint64_t worker_deaths = 0;    ///< sockets that went dark
-    std::uint64_t workers_respawned = 0;
-    std::uint64_t hung_workers_killed = 0; ///< liveness deadline kills
-    std::uint64_t corrupt_frames = 0;   ///< streams declared corrupt
-    std::uint64_t poisoned = 0;         ///< jobs quarantined
-    std::uint64_t failed = 0;           ///< structured job failures
-    std::uint64_t drained = 0;          ///< jobs never started
-    std::uint64_t heartbeats = 0;       ///< heartbeat frames seen
-    bool degraded_in_process = false;   ///< fleet unavailable
-    bool drain_requested = false;
+    std::uint64_t completed = 0;      ///< jobs with results
+    std::uint64_t failed = 0;         ///< structured job failures
+    std::uint64_t drained = 0;        ///< jobs drained unfinished
+    bool degraded_in_process = false; ///< fleet unavailable
 };
 
 /** Everything a campaign run produced. */
@@ -166,15 +79,15 @@ class CampaignEngine
     const CampaignOptions &options() const { return opts_; }
 
     /**
-     * Run @p jobs to terminal states (fork fleet, dispatch, recover,
-     * merge). Not reentrant; one campaign per call.
+     * Run @p jobs to terminal states (fork the fleet, dispatch,
+     * recover, merge). Not reentrant; one campaign per call.
      */
     CampaignOutcome run(const std::vector<SimJob> &jobs);
 
     /**
      * Ask the running campaign to drain: in-flight jobs finish (still
-     * under liveness supervision), nothing new is dispatched, workers
-     * shut down cleanly. Async-signal-safe (an atomic store), so a
+     * under liveness supervision), the rest end Drained, workers shut
+     * down cleanly. Async-signal-safe (an atomic store), so a
      * SIGTERM handler may call it directly.
      */
     void requestDrain()
@@ -183,10 +96,16 @@ class CampaignEngine
     }
 
     /** Shard journal path for worker slot @p slot. */
-    static std::string shardPath(const std::string &base, int slot);
+    static std::string shardPath(const std::string &base, int slot)
+    {
+        return Fleet::shardPath(base, slot);
+    }
 
     /** Merged (canonical) journal path. */
-    static std::string mergedPath(const std::string &base);
+    static std::string mergedPath(const std::string &base)
+    {
+        return Fleet::mergedPath(base);
+    }
 
   private:
     class Run; // all per-campaign state lives in campaign_engine.cpp

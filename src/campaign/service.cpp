@@ -2,26 +2,21 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <map>
-#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "campaign/campaign_engine.hpp"
 #include "campaign/campaign_spec.hpp"
 #include "campaign/wire.hpp"
-#include "campaign/worker.hpp"
 #include "metrics/journal.hpp"
 #include "sim/check.hpp"
 
@@ -29,7 +24,7 @@ namespace ckesim {
 
 namespace {
 
-using Clock = std::chrono::steady_clock; // LINT-ALLOW(determinism): host-side liveness/idle timing, never simulated state
+using Clock = std::chrono::steady_clock; // LINT-ALLOW(determinism): host-side client idle timing, never simulated state
 using Millis = std::chrono::milliseconds;
 
 [[noreturn]] void
@@ -40,48 +35,12 @@ raiseService(const std::string &detail)
     raiseSimError("Service", ctx, detail);
 }
 
-/** Terminal phase of one deduped job. */
-enum class JobPhase : std::uint8_t {
-    Queued = 0, ///< waiting for a worker
-    Dispatched, ///< running on owner_slot
-    Done,       ///< result is valid
-    Failed,     ///< error_kind/error_detail are valid
-};
-
-/** One (campaign, job index) waiting on a job's terminal state. */
-struct Subscriber
-{
-    std::uint64_t campaign_id = 0;
-    std::uint32_t index = 0;
-};
-
-/**
- * One content-hash-deduped job. Every submission naming this key —
- * from any client, in any campaign — subscribes here; the job runs
- * at most once per service lifetime and at most once per journal
- * history.
- */
-struct JobEntry
-{
-    JobPhase phase = JobPhase::Queued;
-    CampaignRef ref;              ///< campaign that first named it
-    std::uint32_t ref_index = 0;  ///< index within ref's job list
-    int attempts = 0;             ///< dispatch attempts consumed
-    int owner_slot = -1;          ///< worker running it (Dispatched)
-    bool from_journal = false;    ///< Done without dispatching
-    SimResult result;             ///< Done
-    std::string error_kind;       ///< Failed
-    std::string error_detail;     ///< Failed
-    std::vector<Subscriber> subs; ///< live subscriptions
-};
-
 /** One admitted submission. */
 struct Campaign
 {
     int client_fd = -1; ///< -1 = orphaned (client disconnected)
-    CampaignRef ref;
-    std::vector<SimJob> jobs;
-    std::vector<std::uint8_t> ref_payload; ///< cached encodeCampaignRef
+    std::uint64_t fingerprint = 0; ///< campaignFingerprint of its jobs
+    std::uint64_t jobs = 0;      ///< job count
     std::uint64_t resolved = 0;  ///< jobs at a terminal state
     std::uint64_t completed = 0; ///< jobs that produced a result
 };
@@ -95,18 +54,46 @@ struct Client
     std::vector<std::uint64_t> campaigns; ///< in-flight submissions
 };
 
-/** One worker slot of the persistent fleet. */
-struct WorkerSlot
+/** Bind and listen on @p path (unlinked first); non-blocking. */
+int
+bindListener(const std::string &path)
 {
-    pid_t pid = -1;
-    int fd = -1;
-    bool alive = false;
-    bool hello_seen = false;
-    bool busy = false;
-    std::uint64_t busy_key = 0;
-    FrameParser parser;
-    Clock::time_point last_beat{};
-};
+    struct sockaddr_un addr;
+    if (path.empty() || path.size() >= sizeof addr.sun_path)
+        raiseService("socket path empty or longer than " +
+                     std::to_string(sizeof addr.sun_path - 1) +
+                     " bytes: '" + path + "'");
+
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        raiseService(std::string("socket(): ") +
+                     std::strerror(errno));
+    // A stale socket file from a killed predecessor must not block
+    // the rebind; --resume recovery depends on it.
+    (void)::unlink(path.c_str());
+
+    std::memset(&addr, 0, sizeof addr);
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(),
+                 sizeof addr.sun_path - 1);
+    if (::bind(fd, reinterpret_cast<struct sockaddr *>(&addr),
+               sizeof addr) != 0)
+        raiseService("bind('" + path +
+                     "'): " + std::strerror(errno));
+    if (::listen(fd, 16) != 0)
+        raiseService(std::string("listen(): ") +
+                     std::strerror(errno));
+    const int flags = ::fcntl(fd, F_GETFL, 0);
+    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    return fd;
+}
+
+/** Fleet token of job @p index of campaign @p id. */
+std::uint64_t
+jobToken(std::uint64_t id, std::uint32_t index)
+{
+    return id << 32 | index;
+}
 
 } // namespace
 
@@ -115,41 +102,24 @@ class CampaignService::Loop
 {
   public:
     Loop(const ServiceOptions &opts, const std::atomic<bool> &drain)
-        : opts_(opts), drain_flag_(drain)
+        : opts_(opts), drain_flag_(drain),
+          // Bound before the fleet opens its journals and forks, so
+          // clients connect into the backlog while it starts.
+          listen_fd_(bindListener(opts.socket_path)),
+          fleet_(opts_, no_jobs_, report_,
+                 [this](std::uint64_t token, std::uint64_t key,
+                        const CampaignJobOutcome &outcome, bool replay) {
+                     onJob(token, key, outcome, replay);
+                 })
     {
-        if (opts_.workers < 1)
-            opts_.workers = 1;
     }
 
     ServiceReport run();
 
   private:
-    // ---- setup / teardown ------------------------------------------------
-    void bindSocket();
-    void openJournals();
-    void startFleet();
-    void shutdownFleet();
-
-    // ---- fleet -----------------------------------------------------------
-    bool spawnWorker(int slot, bool respawn);
-    void onWorkerDeath(int slot, const char *why);
-    void killWorker(int slot, const char *why);
-    void checkWorkerLiveness(Clock::time_point now);
-    void handleWorkerInput(int slot);
-    void handleWorkerFrame(int slot, const Frame &frame);
-    void pumpDispatch();
-
     // ---- jobs ------------------------------------------------------------
-    bool findInShards(std::uint64_t key, SimResult &out) const;
-    void reclaimJob(std::uint64_t key);
-    void completeJob(std::uint64_t key, const SimResult &result,
-                     int slot);
-    void failJob(std::uint64_t key, const std::string &kind,
-                 const std::string &detail);
-    void notifyResult(const Subscriber &sub, std::uint64_t key,
-                      const JobEntry &entry, bool replay);
-    void notifyFailure(const Subscriber &sub, std::uint64_t key,
-                       const JobEntry &entry);
+    void onJob(std::uint64_t token, std::uint64_t key,
+               const CampaignJobOutcome &outcome, bool replay);
     void resolveOne(std::uint64_t campaign_id, bool completed);
 
     // ---- clients ---------------------------------------------------------
@@ -163,505 +133,47 @@ class CampaignService::Loop
     void checkClientIdle(Clock::time_point now);
     bool sendToCampaign(std::uint64_t campaign_id, const Frame &frame);
 
-    // ---- drain -----------------------------------------------------------
-    void beginDrain();
-    bool drained() const;
-
-    ServiceOptions opts_;
+    const ServiceOptions &opts_;
     const std::atomic<bool> &drain_flag_;
     bool draining_ = false;
-
-    int listen_fd_ = -1;
-    std::vector<WorkerSlot> slots_;
-    int respawns_left_ = 0;
+    const int listen_fd_;
 
     // std::map keeps every fan-out and drain sweep in deterministic
-    // order — the frame stream a client sees must not depend on hash
+    // order: the frame stream a client sees must not depend on hash
     // layout.
     std::map<int, Client> clients_;
     std::map<std::uint64_t, Campaign> campaigns_;
-    std::map<std::uint64_t, JobEntry> jobs_;
-    std::deque<std::uint64_t> queue_; ///< Queued keys, FIFO
     std::uint64_t next_campaign_id_ = 1;
 
-    std::vector<std::unique_ptr<ResultJournal>> shards_;
-
     ServiceReport report_;
+    /** Service workers inherit no job list: every dispatch carries
+     *  the campaign ref its index belongs to. */
+    const std::vector<SimJob> no_jobs_;
+    Fleet fleet_;
 };
-
-// ---- setup / teardown ----------------------------------------------------
-
-void
-CampaignService::Loop::bindSocket()
-{
-    struct sockaddr_un addr;
-    if (opts_.socket_path.empty() ||
-        opts_.socket_path.size() >= sizeof addr.sun_path)
-        raiseService("socket path empty or longer than " +
-                     std::to_string(sizeof addr.sun_path - 1) +
-                     " bytes: '" + opts_.socket_path + "'");
-
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        raiseService(std::string("socket(): ") +
-                     std::strerror(errno));
-    // A stale socket file from a killed predecessor must not block
-    // the rebind; --resume recovery depends on it.
-    (void)::unlink(opts_.socket_path.c_str());
-
-    std::memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
-                 sizeof addr.sun_path - 1);
-    if (::bind(listen_fd_,
-               reinterpret_cast<struct sockaddr *>(&addr),
-               sizeof addr) != 0)
-        raiseService("bind('" + opts_.socket_path +
-                     "'): " + std::strerror(errno));
-    if (::listen(listen_fd_, 16) != 0)
-        raiseService(std::string("listen(): ") +
-                     std::strerror(errno));
-    const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
-    (void)::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
-}
-
-void
-CampaignService::Loop::openJournals()
-{
-    if (opts_.journal_base.empty())
-        return;
-    if (!opts_.resume) {
-        // Fresh service: a journal recorded by a previous lifetime
-        // must not satisfy this one's submissions.
-        for (int slot = 0; slot < 256; ++slot) {
-            const std::string p = CampaignEngine::shardPath(
-                opts_.journal_base, slot);
-            if (::unlink(p.c_str()) != 0)
-                break;
-        }
-    }
-    // One shard per worker slot for appends; on resume, shards left
-    // by a previous (possibly larger) fleet are replayed too so no
-    // durable result is invisible.
-    for (int slot = 0; slot < opts_.workers; ++slot) {
-        auto j = std::make_unique<ResultJournal>();
-        j->open(CampaignEngine::shardPath(opts_.journal_base, slot));
-        shards_.push_back(std::move(j));
-    }
-    if (opts_.resume) {
-        for (int slot = opts_.workers; slot < 256; ++slot) {
-            const std::string p = CampaignEngine::shardPath(
-                opts_.journal_base, slot);
-            if (::access(p.c_str(), F_OK) != 0)
-                break;
-            auto j = std::make_unique<ResultJournal>();
-            j->open(p);
-            shards_.push_back(std::move(j));
-        }
-    }
-}
-
-void
-CampaignService::Loop::startFleet()
-{
-    slots_.resize(static_cast<std::size_t>(opts_.workers));
-    respawns_left_ = opts_.max_worker_respawns;
-    int alive = 0;
-    for (int slot = 0; slot < opts_.workers; ++slot)
-        if (spawnWorker(slot, false))
-            ++alive;
-    if (alive == 0)
-        raiseService("could not spawn any of " +
-                     std::to_string(opts_.workers) + " workers");
-}
-
-void
-CampaignService::Loop::shutdownFleet()
-{
-    Frame bye;
-    bye.type = FrameType::Shutdown;
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-        WorkerSlot &ws = slots_[slot];
-        if (!ws.alive)
-            continue;
-        (void)writeFrame(ws.fd, bye);
-    }
-    for (WorkerSlot &ws : slots_) {
-        if (ws.pid > 0) {
-            int status = 0;
-            if (::waitpid(ws.pid, &status, WNOHANG) == 0) {
-                ::kill(ws.pid, SIGKILL);
-                (void)::waitpid(ws.pid, &status, 0);
-            }
-        }
-        if (ws.fd >= 0)
-            ::close(ws.fd);
-        ws = WorkerSlot{};
-    }
-}
-
-// ---- fleet ---------------------------------------------------------------
-
-bool
-CampaignService::Loop::spawnWorker(int slot, bool respawn)
-{
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-        return false;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(sv[0]);
-        ::close(sv[1]);
-        return false;
-    }
-    if (pid == 0) {
-        // Child: drop every service-side fd (listen socket, client
-        // connections, sibling workers), serve the socket with an
-        // EMPTY inherited job list — every Dispatch carries a
-        // campaign ref the worker rebuilds locally — and leave
-        // without running atexit machinery.
-        ::close(sv[0]);
-        if (listen_fd_ >= 0)
-            ::close(listen_fd_);
-        for (const auto &entry : clients_)
-            ::close(entry.first);
-        for (const WorkerSlot &other : slots_)
-            if (other.alive && other.fd >= 0)
-                ::close(other.fd);
-        ::signal(SIGTERM, SIG_DFL);
-        ::signal(SIGINT, SIG_DFL);
-        WorkerConfig wc;
-        wc.fd = sv[1];
-        wc.worker_index = slot;
-        wc.heartbeat_ms = opts_.heartbeat_ms;
-        wc.faults = opts_.faults;
-        int status = 1;
-        try {
-            status = runCampaignWorker(wc, {});
-        } catch (...) {
-            status = 1;
-        }
-        ::_exit(status);
-    }
-    ::close(sv[1]);
-    const int flags = ::fcntl(sv[0], F_GETFL, 0);
-    (void)::fcntl(sv[0], F_SETFL, flags | O_NONBLOCK);
-
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    ws = WorkerSlot{};
-    ws.pid = pid;
-    ws.fd = sv[0];
-    ws.alive = true;
-    ws.last_beat = Clock::now(); // fleet liveness timing
-    if (respawn)
-        ++report_.workers_respawned;
-    return true;
-}
-
-void
-CampaignService::Loop::onWorkerDeath(int slot, const char *why)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    ++report_.worker_deaths;
-    std::fprintf(stderr, "campaignd: worker %d died (%s)\n", slot,
-                 why);
-    if (ws.fd >= 0)
-        ::close(ws.fd);
-    if (ws.pid > 0) {
-        int status = 0;
-        if (::waitpid(ws.pid, &status, WNOHANG) == 0) {
-            ::kill(ws.pid, SIGKILL);
-            (void)::waitpid(ws.pid, &status, 0);
-        }
-    }
-    const bool was_busy = ws.busy;
-    const std::uint64_t key = ws.busy_key;
-    ws = WorkerSlot{};
-
-    if (was_busy)
-        reclaimJob(key);
-    if (respawns_left_ > 0) {
-        --respawns_left_;
-        (void)spawnWorker(slot, true);
-    }
-}
-
-void
-CampaignService::Loop::killWorker(int slot, const char *why)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    if (ws.pid > 0)
-        ::kill(ws.pid, SIGKILL);
-    onWorkerDeath(slot, why);
-}
-
-void
-CampaignService::Loop::checkWorkerLiveness(Clock::time_point now)
-{
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-        WorkerSlot &ws = slots_[slot];
-        if (!ws.alive || !ws.busy)
-            continue;
-        if (now - ws.last_beat >
-            Millis(opts_.liveness_deadline_ms)) {
-            ++report_.hung_workers_killed;
-            killWorker(static_cast<int>(slot), "liveness deadline");
-        }
-    }
-}
-
-void
-CampaignService::Loop::handleWorkerInput(int slot)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    std::uint8_t buf[65536];
-    for (;;) {
-        const ssize_t n = ::recv(ws.fd, buf, sizeof buf, 0);
-        if (n > 0) {
-            ws.parser.feed(buf, static_cast<std::size_t>(n));
-            if (static_cast<std::size_t>(n) < sizeof buf)
-                break;
-            continue;
-        }
-        if (n == 0) {
-            onWorkerDeath(slot, "socket closed");
-            return;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        onWorkerDeath(slot, "read error");
-        return;
-    }
-    Frame frame;
-    while (ws.alive && ws.parser.next(frame))
-        handleWorkerFrame(slot, frame);
-    if (ws.alive && ws.parser.corrupt()) {
-        // A worker whose stream misaligned cannot be trusted with
-        // anything it sends afterwards: kill and re-dispatch.
-        killWorker(slot, ws.parser.corruptReason().c_str());
-    }
-}
-
-void
-CampaignService::Loop::handleWorkerFrame(int slot, const Frame &frame)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    ws.last_beat = Clock::now(); // any frame proves liveness
-    switch (frame.type) {
-      case FrameType::Hello: {
-        // A service worker inherits no job list; its Hello must
-        // fingerprint the empty campaign or it was built wrong.
-        static const std::uint64_t kEmptyFingerprint =
-            campaignFingerprint({});
-        if (frame.key != kEmptyFingerprint) {
-            killWorker(slot, "hello fingerprint mismatch");
-            return;
-        }
-        ws.hello_seen = true;
-        return;
-      }
-      case FrameType::Heartbeat:
-        return;
-      case FrameType::Result: {
-        if (!ws.busy || frame.key != ws.busy_key)
-            return; // stale result from a reclaimed dispatch
-        SimResult result;
-        try {
-            result = decodeSimResult(frame.payload);
-        } catch (const SimError &) {
-            killWorker(slot, "undecodable result payload");
-            return;
-        }
-        ws.busy = false;
-        ws.busy_key = 0;
-        completeJob(frame.key, result, slot);
-        return;
-      }
-      case FrameType::JobError: {
-        if (!ws.busy || frame.key != ws.busy_key)
-            return;
-        std::string kind = "JobError";
-        std::string detail;
-        try {
-            decodeJobError(frame.payload, kind, detail);
-        } catch (const SimError &) {
-            killWorker(slot, "undecodable job-error payload");
-            return;
-        }
-        ws.busy = false;
-        ws.busy_key = 0;
-        failJob(frame.key, kind, detail);
-        return;
-      }
-      default:
-        return; // tolerate unknown-but-valid traffic
-    }
-}
-
-void
-CampaignService::Loop::pumpDispatch()
-{
-    for (std::size_t slot = 0;
-         slot < slots_.size() && !queue_.empty(); ++slot) {
-        WorkerSlot &ws = slots_[slot];
-        if (!ws.alive || !ws.hello_seen || ws.busy)
-            continue;
-        const std::uint64_t key = queue_.front();
-        auto it = jobs_.find(key);
-        if (it == jobs_.end() ||
-            it->second.phase != JobPhase::Queued) {
-            queue_.pop_front();
-            continue;
-        }
-        JobEntry &entry = it->second;
-
-        Frame dispatch;
-        dispatch.type = FrameType::Dispatch;
-        dispatch.job_index = entry.ref_index;
-        dispatch.aux = static_cast<std::uint32_t>(entry.attempts);
-        dispatch.key = key;
-        // The ref payload names the job list the index belongs to;
-        // the worker rebuilds it locally and verifies the hash.
-        auto cit = campaigns_.end();
-        for (const Subscriber &sub : entry.subs) {
-            cit = campaigns_.find(sub.campaign_id);
-            if (cit != campaigns_.end())
-                break;
-        }
-        if (cit != campaigns_.end() &&
-            cit->second.ref.name == entry.ref.name &&
-            cit->second.ref.cycles == entry.ref.cycles)
-            dispatch.payload = cit->second.ref_payload;
-        else
-            dispatch.payload = encodeCampaignRef(entry.ref);
-
-        if (!writeFrame(ws.fd, dispatch)) {
-            onWorkerDeath(static_cast<int>(slot), "dispatch failed");
-            continue;
-        }
-        queue_.pop_front();
-        entry.phase = JobPhase::Dispatched;
-        entry.owner_slot = static_cast<int>(slot);
-        ++entry.attempts;
-        ws.busy = true;
-        ws.busy_key = key;
-        ws.last_beat = Clock::now(); // dispatch restarts the clock
-        ++report_.dispatched;
-        if (entry.attempts > 1)
-            ++report_.redispatched;
-    }
-}
 
 // ---- jobs ----------------------------------------------------------------
 
-bool
-CampaignService::Loop::findInShards(std::uint64_t key,
-                                    SimResult &out) const
-{
-    for (const auto &shard : shards_)
-        if (shard->find(key, out))
-            return true;
-    return false;
-}
-
 void
-CampaignService::Loop::reclaimJob(std::uint64_t key)
+CampaignService::Loop::onJob(std::uint64_t token, std::uint64_t key,
+                             const CampaignJobOutcome &outcome,
+                             bool replay)
 {
-    auto it = jobs_.find(key);
-    if (it == jobs_.end() || it->second.phase != JobPhase::Dispatched)
-        return;
-    JobEntry &entry = it->second;
-    entry.owner_slot = -1;
-    if (entry.attempts >= opts_.max_dispatch_attempts) {
-        failJob(key, "Exhausted",
-                "gave up after " + std::to_string(entry.attempts) +
-                    " dispatch attempts");
-        return;
-    }
-    entry.phase = JobPhase::Queued;
-    queue_.push_front(key); // reclaimed work goes first
-}
-
-void
-CampaignService::Loop::completeJob(std::uint64_t key,
-                                   const SimResult &result, int slot)
-{
-    auto it = jobs_.find(key);
-    if (it == jobs_.end() || it->second.phase == JobPhase::Done)
-        return;
-    JobEntry &entry = it->second;
-    entry.phase = JobPhase::Done;
-    entry.owner_slot = -1;
-    entry.result = result;
-    // Durable before visible: a result is journaled (fsync'd) before
-    // any client hears about it, so a service crash between the two
-    // cannot strand a client with a result the resume cannot replay.
-    // One append per key per journal history: only freshly computed
-    // results land here, and a key is dispatched at most once.
-    if (!shards_.empty()) {
-        const std::size_t shard =
-            std::min(static_cast<std::size_t>(slot),
-                     shards_.size() - 1);
-        shards_[shard]->append(key, result);
-    }
-    ++report_.jobs_completed;
-    for (const Subscriber &sub : entry.subs) {
-        notifyResult(sub, key, entry, false);
-        resolveOne(sub.campaign_id, true);
-    }
-    entry.subs.clear();
-}
-
-void
-CampaignService::Loop::failJob(std::uint64_t key,
-                               const std::string &kind,
-                               const std::string &detail)
-{
-    auto it = jobs_.find(key);
-    if (it == jobs_.end() || it->second.phase == JobPhase::Done ||
-        it->second.phase == JobPhase::Failed)
-        return;
-    JobEntry &entry = it->second;
-    entry.phase = JobPhase::Failed;
-    entry.owner_slot = -1;
-    entry.error_kind = kind;
-    entry.error_detail = detail;
-    ++report_.jobs_failed;
-    for (const Subscriber &sub : entry.subs) {
-        notifyFailure(sub, key, entry);
-        resolveOne(sub.campaign_id, false);
-    }
-    entry.subs.clear();
-}
-
-void
-CampaignService::Loop::notifyResult(const Subscriber &sub,
-                                    std::uint64_t key,
-                                    const JobEntry &entry, bool replay)
-{
+    const std::uint64_t id = token >> 32;
     Frame frame;
-    frame.type = FrameType::JobResult;
-    frame.job_index = sub.index;
-    frame.aux = replay ? 1u : 0u;
+    frame.job_index = static_cast<std::uint32_t>(token);
     frame.key = key;
-    frame.payload = encodeSimResult(entry.result);
-    (void)sendToCampaign(sub.campaign_id, frame);
-}
-
-void
-CampaignService::Loop::notifyFailure(const Subscriber &sub,
-                                     std::uint64_t key,
-                                     const JobEntry &entry)
-{
-    Frame frame;
-    frame.type = FrameType::JobFailed;
-    frame.job_index = sub.index;
-    frame.key = key;
-    frame.payload =
-        encodeJobError(entry.error_kind, entry.error_detail);
-    (void)sendToCampaign(sub.campaign_id, frame);
+    if (outcome.ok()) {
+        frame.type = FrameType::JobResult;
+        frame.aux = replay ? 1u : 0u;
+        frame.payload = encodeSimResult(outcome.result);
+    } else {
+        frame.type = FrameType::JobFailed;
+        frame.payload =
+            encodeJobError(outcome.error_kind, outcome.error_detail);
+    }
+    (void)sendToCampaign(id, frame);
+    resolveOne(id, outcome.ok());
 }
 
 void
@@ -675,13 +187,13 @@ CampaignService::Loop::resolveOne(std::uint64_t campaign_id,
     ++c.resolved;
     if (completed)
         ++c.completed;
-    if (c.resolved < c.jobs.size())
+    if (c.resolved < c.jobs)
         return;
 
     Frame done;
     done.type = FrameType::CampaignDone;
     done.aux = static_cast<std::uint32_t>(c.completed);
-    done.key = campaignFingerprint(c.jobs);
+    done.key = c.fingerprint;
     (void)sendToCampaign(campaign_id, done);
     ++report_.campaigns_done;
 
@@ -807,10 +319,9 @@ CampaignService::Loop::handleSubmit(int fd, const Frame &frame)
         return;
     }
 
-    CampaignRef ref;
     std::vector<SimJob> built;
     try {
-        ref = decodeCampaignRef(frame.payload);
+        const CampaignRef ref = decodeCampaignRef(frame.payload);
         if (ref.cycles == 0)
             raiseService("submission cycles must be positive");
         built = buildNamedCampaign(ref.name, Cycle{ref.cycles});
@@ -830,112 +341,52 @@ CampaignService::Loop::handleSubmit(int fd, const Frame &frame)
                          std::to_string(
                              cit->second.campaigns.size()) +
                          " campaigns in flight",
-                     opts_.reject_retry_ms);
+                     kRejectRetryMs);
         return;
     }
 
     // Admission: count the NEW work this submission would queue
     // (deduped and journal-served jobs are free).
-    std::size_t new_jobs = 0;
-    {
-        SimResult scratch;
-        std::vector<std::uint64_t> seen;
-        for (const SimJob &job : built) {
-            const std::uint64_t key = job.key();
-            if (jobs_.count(key) != 0)
-                continue;
-            if (std::find(seen.begin(), seen.end(), key) !=
-                seen.end())
-                continue;
-            if (findInShards(key, scratch))
-                continue;
-            seen.push_back(key);
-            ++new_jobs;
-        }
+    std::vector<std::uint64_t> keys;
+    std::set<std::uint64_t> fresh;
+    for (const SimJob &job : built) {
+        keys.push_back(job.key());
+        if (!fleet_.known(keys.back()))
+            fresh.insert(keys.back());
     }
-    if (queue_.size() + new_jobs > opts_.max_pending_jobs) {
+    if (fleet_.queued() + fresh.size() > opts_.max_pending_jobs) {
         rejectSubmit(fd,
-                     "queue full (" + std::to_string(queue_.size()) +
-                         " pending, +" + std::to_string(new_jobs) +
+                     "queue full (" + std::to_string(fleet_.queued()) +
+                         " pending, +" + std::to_string(fresh.size()) +
                          " would exceed " +
-                         std::to_string(opts_.max_pending_jobs) +
-                         ")",
-                     opts_.reject_retry_ms);
+                         std::to_string(opts_.max_pending_jobs) + ")",
+                     kRejectRetryMs);
         return;
     }
 
-    const std::uint64_t id = next_campaign_id_++;
-    Campaign &c = campaigns_[id];
-    c.client_fd = fd;
-    c.ref = ref;
-    c.jobs = std::move(built);
-    c.ref_payload = frame.payload;
-    cit->second.campaigns.push_back(id);
-    ++report_.submissions;
-
     Frame ack;
     ack.type = FrameType::SubmitAck;
-    ack.key = campaignFingerprint(c.jobs);
-    ack.aux = static_cast<std::uint32_t>(c.jobs.size());
+    ack.key = campaignFingerprint(built);
+    ack.aux = static_cast<std::uint32_t>(keys.size());
     if (!writeFrame(fd, ack)) {
         dropClient(fd, "ack failed");
         return;
     }
+    const std::uint64_t id = next_campaign_id_++;
+    Campaign &c = campaigns_[id];
+    c.client_fd = fd;
+    c.fingerprint = ack.key;
+    c.jobs = keys.size();
+    cit->second.campaigns.push_back(id);
+    ++report_.submissions;
 
-    // Resolve every index: replay what is known, subscribe to what
-    // is live, queue what is new. The campaign may finish inside
-    // this very loop (all jobs journal-served).
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(c.jobs.size()); ++i) {
-        // c may be invalidated by sends that drop the client; look
-        // the campaign up fresh each round.
-        auto me = campaigns_.find(id);
-        if (me == campaigns_.end())
-            return;
-        Campaign &campaign = me->second;
-        const std::uint64_t key = campaign.jobs[i].key();
-        auto jit = jobs_.find(key);
-        if (jit == jobs_.end()) {
-            SimResult replayed;
-            if (findInShards(key, replayed)) {
-                JobEntry &entry = jobs_[key];
-                entry.phase = JobPhase::Done;
-                entry.ref = campaign.ref;
-                entry.ref_index = i;
-                entry.from_journal = true;
-                entry.result = replayed;
-                ++report_.journal_hits;
-                notifyResult({id, i}, key, entry, true);
-                resolveOne(id, true);
-                continue;
-            }
-            JobEntry &entry = jobs_[key];
-            entry.phase = JobPhase::Queued;
-            entry.ref = campaign.ref;
-            entry.ref_index = i;
-            entry.subs.push_back({id, i});
-            queue_.push_back(key);
-            continue;
-        }
-        JobEntry &entry = jit->second;
-        switch (entry.phase) {
-          case JobPhase::Done:
-            ++report_.dedupe_hits;
-            notifyResult({id, i}, key, entry, true);
-            resolveOne(id, true);
-            break;
-          case JobPhase::Failed:
-            ++report_.dedupe_hits;
-            notifyFailure({id, i}, key, entry);
-            resolveOne(id, false);
-            break;
-          case JobPhase::Queued:
-          case JobPhase::Dispatched:
-            ++report_.dedupe_hits;
-            entry.subs.push_back({id, i});
-            break;
-        }
-    }
+    // Known jobs are answered inside submit(), and the answer to the
+    // last one closes and erases the campaign: no reference into
+    // campaigns_ may be held across these calls.
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        fleet_.submit(keys[i], static_cast<std::uint32_t>(i),
+                      frame.payload,
+                      jobToken(id, static_cast<std::uint32_t>(i)));
 }
 
 bool
@@ -989,110 +440,46 @@ CampaignService::Loop::checkClientIdle(Clock::time_point now)
         dropClient(fd, "idle timeout");
 }
 
-// ---- drain ---------------------------------------------------------------
-
-void
-CampaignService::Loop::beginDrain()
-{
-    draining_ = true;
-    report_.drain_requested = true;
-    // Everything still queued fails as Drained NOW — in-flight jobs
-    // finish under liveness supervision, nothing new is dispatched.
-    std::deque<std::uint64_t> pending;
-    pending.swap(queue_);
-    for (const std::uint64_t key : pending)
-        failJob(key, "Drained", "service drained before dispatch");
-}
-
-bool
-CampaignService::Loop::drained() const
-{
-    if (!draining_)
-        return false;
-    // A worker death mid-drain reclaims its job back to Queued so it
-    // can still finish — both live phases block the drain.
-    for (const auto &entry : jobs_)
-        if (entry.second.phase == JobPhase::Dispatched ||
-            entry.second.phase == JobPhase::Queued)
-            return false;
-    return true;
-}
-
 // ---- the loop ------------------------------------------------------------
 
 ServiceReport
 CampaignService::Loop::run()
 {
-    bindSocket();
-    openJournals();
-    try {
-        startFleet();
-    } catch (...) {
+    if (fleet_.start({listen_fd_}) == 0) {
         ::close(listen_fd_);
         (void)::unlink(opts_.socket_path.c_str());
-        throw;
+        raiseService("could not spawn any of " +
+                     std::to_string(opts_.workers) + " workers");
     }
-
     std::fprintf(stderr,
                  "campaignd: serving on %s (workers=%d%s)\n",
                  opts_.socket_path.c_str(), opts_.workers,
-                 shards_.empty() ? "" : ", journaled");
+                 opts_.journal_base.empty() ? "" : ", journaled");
 
-    while (!drained()) {
-        if (drain_flag_.load(std::memory_order_relaxed) &&
-            !draining_)
-            beginDrain();
-
-        pumpDispatch();
+    while (!draining_ || fleet_.live() > 0) {
+        if (drain_flag_.load(std::memory_order_relaxed) && !draining_) {
+            // Refuse new submissions; the fleet ends queued jobs
+            // Drained now and lets in-flight ones finish.
+            draining_ = true;
+            fleet_.drain();
+        }
 
         std::vector<struct pollfd> fds;
         fds.push_back({listen_fd_, POLLIN, 0});
-        std::vector<int> worker_of; // fds index -> slot, -1 = client
-        worker_of.push_back(-1);
-        for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-            if (!slots_[slot].alive)
-                continue;
-            fds.push_back({slots_[slot].fd, POLLIN, 0});
-            worker_of.push_back(static_cast<int>(slot));
-        }
-        const std::size_t first_client = fds.size();
-        for (const auto &entry : clients_) {
+        for (const auto &entry : clients_)
             fds.push_back({entry.first, POLLIN, 0});
-            worker_of.push_back(-1);
-        }
+        fleet_.step(fds, 50);
 
-        const int rc = ::poll(fds.data(),
-                              static_cast<nfds_t>(fds.size()), 50);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue; // a drain signal landed; loop re-checks
-            raiseService(std::string("poll(): ") +
-                         std::strerror(errno));
-        }
-
-        const Clock::time_point now = Clock::now(); // host timing
+        const Clock::time_point now = Clock::now(); // client idle timing
         if (fds[0].revents & POLLIN)
             acceptClients();
-        for (std::size_t i = 1; i < first_client; ++i) {
-            if (fds[i].revents == 0)
-                continue;
-            const int slot = worker_of[i];
-            if (slots_[static_cast<std::size_t>(slot)].alive &&
-                slots_[static_cast<std::size_t>(slot)].fd ==
-                    fds[i].fd)
-                handleWorkerInput(slot);
-        }
-        for (std::size_t i = first_client; i < fds.size(); ++i) {
-            if (fds[i].revents == 0)
-                continue;
-            handleClientInput(fds[i].fd);
-        }
-
-        checkWorkerLiveness(now);
+        for (std::size_t i = 1; i < fds.size(); ++i)
+            if (fds[i].revents != 0)
+                handleClientInput(fds[i].fd);
         checkClientIdle(now);
     }
 
-    shutdownFleet();
+    fleet_.shutdown();
     for (const auto &entry : clients_)
         ::close(entry.first);
     clients_.clear();
@@ -1106,6 +493,7 @@ CampaignService::Loop::run()
 CampaignService::CampaignService(ServiceOptions opts)
     : opts_(std::move(opts))
 {
+    Fleet::normalize(opts_);
 }
 
 ServiceReport

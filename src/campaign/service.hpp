@@ -1,41 +1,38 @@
 /**
  * @file
- * Long-lived campaign service: the orchestrator promoted from a
- * one-shot batch tool to a daemon that listens on an AF_UNIX stream
- * socket, accepts concurrent client connections, and runs submitted
- * campaigns over a persistent forked worker fleet.
+ * Campaign service front end: a daemon that listens on an AF_UNIX
+ * stream socket, accepts concurrent client connections, and runs
+ * their campaigns on the same worker Fleet (campaign/fleet.hpp) the
+ * batch CampaignEngine drives.
  *
  * Protocol: clients speak the CRC-framed campaign/wire format.
- * SubmitCampaign carries a named-campaign ref (name + cycles — never
+ * SubmitCampaign carries a named-campaign ref (name + cycles, never
  * serialized SimJobs; both sides rebuild the job list locally and
  * content hashes verify they agree). The service answers SubmitAck
  * (key = campaign fingerprint), streams JobResult / JobFailed frames
  * as jobs reach terminal states, and finishes with CampaignDone.
  * Ping/Pong probes refresh the idle timeout.
  *
- * Robustness contract (the point of the exercise):
+ * What the front end adds to the fleet (DESIGN.md section 12.3):
  *
- *  - one poll(2) loop owns everything — listen socket, client
- *    sockets, worker sockets. No threads, so forking workers is safe
- *    and there is no cross-client locking to get wrong;
- *  - each client connection has its own incremental FrameParser;
- *    sticky corruption on one client's stream drops THAT client only
- *    — other clients keep streaming;
+ *  - listen and accept inside the fleet's one poll step: no threads,
+ *    so forking workers stays safe;
+ *  - a FrameParser per client connection: sticky corruption on one
+ *    client's stream drops THAT client only;
  *  - admission control: a bounded pending-job queue (overflow =>
  *    Reject with a retry-after hint), a per-client in-flight campaign
  *    cap, and an idle-client timeout;
- *  - cross-campaign dedupe: jobs are keyed by SimJob content hash; a
- *    job submitted by N clients (or N times by one client) runs once
- *    and fans its result out to every subscriber;
- *  - client disconnect mid-stream orphans nothing: the dead client's
- *    jobs keep running and their results land in the fsync'd journal
- *    shards, so an idempotent resubmission replays completed results
- *    (JobResult aux bit 0 set) instead of re-running them;
- *  - SIGTERM (requestDrain()) refuses new submissions, finishes
- *    in-flight jobs, fails queued jobs as Drained, notifies every
- *    client, and shuts the fleet down cleanly;
- *  - SIGKILL loses nothing durable: `--serve --resume` replays the
- *    journal shards, so completed work survives the crash.
+ *  - fan-out: every job enters the fleet as a campaign-ref dispatch
+ *    keyed by content hash, so a job submitted by N clients runs once
+ *    and its result reaches every subscriber;
+ *  - client disconnect orphans nothing: the dead client's jobs keep
+ *    running into the journal shards, so an idempotent resubmission
+ *    replays them (JobResult aux bit 0 set);
+ *  - drain: SIGTERM (requestDrain()) refuses new submissions and
+ *    drains the fleet; every client hears how its jobs ended.
+ *
+ * SIGKILL loses nothing durable: `--serve --resume` replays the
+ * journal shards.
  */
 
 #ifndef CKESIM_CAMPAIGN_SERVICE_HPP
@@ -45,39 +42,15 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/procfault.hpp"
+#include "campaign/fleet.hpp"
 
 namespace ckesim {
 
-/** Shape, limits and durability of one campaign service. */
-struct ServiceOptions
+/** Socket and admission limits of one campaign service. */
+struct ServiceOptions : FleetOptions
 {
     /** AF_UNIX socket path to listen on (unlinked + rebound). */
     std::string socket_path;
-
-    /** Worker processes to fork; values < 1 are clamped to 1. */
-    int workers = 1;
-
-    /** Journal base; one shard per worker slot at <base>.shard<N>.
-     *  Empty = no durability (results live only in memory). */
-    std::string journal_base;
-
-    /** Replay existing journal shards instead of wiping them. */
-    bool resume = false;
-
-    /** Minimum gap between worker heartbeats. */
-    std::uint64_t heartbeat_ms = 25;
-
-    /** No heartbeat for this long while owning a job = hung worker:
-     *  SIGKILL and re-dispatch. */
-    std::uint64_t liveness_deadline_ms = 5000;
-
-    /** Max dispatch attempts per job across worker deaths. */
-    int max_dispatch_attempts = 4;
-
-    /** Total worker respawns before the fleet stops replacing dead
-     *  workers. */
-    int max_worker_respawns = 64;
 
     /** Admission control: queued-but-undispatched jobs beyond this
      *  Reject the submission with a retry-after hint. */
@@ -90,34 +63,21 @@ struct ServiceOptions
     /** Clients silent for longer than this are disconnected
      *  (Ping refreshes it). 0 disables the timeout. */
     std::uint64_t idle_timeout_ms = 30000;
-
-    /** Retry-after hint attached to overload Rejects. */
-    std::uint64_t reject_retry_ms = 200;
-
-    /** Fleet-fault injection plan inherited by forked workers. */
-    ProcFaultPlan faults;
 };
 
-/** Service-lifetime accounting (stderr diagnostics, tests). */
-struct ServiceReport
+/** Retry-after hint attached to overload Rejects. */
+inline constexpr std::uint64_t kRejectRetryMs = 200;
+
+/** Service-lifetime accounting, on top of the fleet's. */
+struct ServiceReport : FleetReport
 {
     std::uint64_t connections = 0;       ///< clients accepted
     std::uint64_t submissions = 0;       ///< SubmitCampaign admitted
     std::uint64_t rejected = 0;          ///< SubmitCampaign refused
     std::uint64_t campaigns_done = 0;    ///< CampaignDone sent
-    std::uint64_t jobs_completed = 0;    ///< results produced/served
-    std::uint64_t jobs_failed = 0;       ///< terminal job failures
-    std::uint64_t journal_hits = 0;      ///< served without dispatch
-    std::uint64_t dedupe_hits = 0;       ///< subscriptions to live jobs
-    std::uint64_t dispatched = 0;        ///< dispatch frames sent
-    std::uint64_t redispatched = 0;      ///< re-dispatches after loss
     std::uint64_t client_corrupt = 0;    ///< client streams dropped
     std::uint64_t client_disconnects = 0; ///< EOF/error/timeout drops
-    std::uint64_t worker_deaths = 0;
-    std::uint64_t workers_respawned = 0;
-    std::uint64_t hung_workers_killed = 0;
     std::uint64_t pings = 0;
-    bool drain_requested = false;
 };
 
 /**
@@ -140,8 +100,8 @@ class CampaignService
     ServiceReport serve();
 
     /**
-     * Ask the running service to drain: refuse new submissions, fail
-     * queued jobs as Drained, finish in-flight jobs, notify clients,
+     * Ask the running service to drain: refuse new submissions, end
+     * queued jobs Drained, finish in-flight jobs, notify clients,
      * shut the fleet down. Async-signal-safe (an atomic store).
      */
     void requestDrain()

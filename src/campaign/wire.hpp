@@ -39,7 +39,7 @@ inline constexpr std::uint8_t kWireVersion = 1;
 
 /** Frame discriminator. Types 1-6 are the orchestrator<->worker
  *  protocol (PR 5); types 7-14 are the client<->service submission
- *  protocol layered on the same framing (DESIGN.md section 16). */
+ *  protocol layered on the same framing (DESIGN.md section 12.3). */
 enum class FrameType : std::uint8_t {
     /** worker -> orchestrator at startup; key = campaign fingerprint
      *  (refuses a worker built from a different job list). */

@@ -30,16 +30,6 @@ SnapshotWriter::u8(std::uint8_t v)
 }
 
 void
-SnapshotWriter::u32(std::uint32_t v)
-{
-    tag(SnapTag::U32);
-    std::uint8_t b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    raw(b, 4);
-}
-
-void
 SnapshotWriter::u64(std::uint64_t v)
 {
     tag(SnapTag::U64);
@@ -156,17 +146,6 @@ SnapshotReader::u8()
 {
     expect(SnapTag::U8);
     return *take(1);
-}
-
-std::uint32_t
-SnapshotReader::u32()
-{
-    expect(SnapTag::U32);
-    const std::uint8_t *b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
 }
 
 std::uint64_t

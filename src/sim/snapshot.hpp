@@ -42,7 +42,7 @@ namespace ckesim {
 /** Wire type tags. One byte before every encoded value. */
 enum class SnapTag : std::uint8_t {
     U8 = 1,
-    U32 = 2,
+    U32 = 2, ///< retired (no writer); the number stays taken
     U64 = 3,
     I64 = 4,
     Bool = 5,
@@ -62,7 +62,6 @@ class SnapshotWriter
     SnapshotWriter() = default;
 
     void u8(std::uint8_t v);
-    void u32(std::uint32_t v);
     void u64(std::uint64_t v);
     void i64(std::int64_t v);
     void boolean(bool v);
@@ -71,14 +70,6 @@ class SnapshotWriter
 
     /** Named section marker; the reader must ask for the same name. */
     void section(const char *name);
-
-    /** Strong id: serialized as its signed raw value. */
-    template <class Tag, class Rep>
-    void
-    id(StrongId<Tag, Rep> v)
-    {
-        i64(static_cast<std::int64_t>(v.get()));
-    }
 
     /** Strong unit: serialized as its unsigned raw value. */
     template <class Tag, class Rep>
@@ -116,7 +107,6 @@ class SnapshotReader
     }
 
     std::uint8_t u8();
-    std::uint32_t u32();
     std::uint64_t u64();
     std::int64_t i64();
     bool boolean();
@@ -125,13 +115,6 @@ class SnapshotReader
 
     /** Consume a section marker; @p name must match what was written. */
     void section(const char *name);
-
-    template <class IdT>
-    IdT
-    id()
-    {
-        return IdT(static_cast<typename IdT::rep_type>(i64()));
-    }
 
     template <class UnitT>
     UnitT

@@ -384,6 +384,67 @@ TEST(CampaignService, CorruptClientDroppedOthersKeepStreaming)
     EXPECT_EQ(service.stop(), 0);
 }
 
+// ---- chaos: worker faults ------------------------------------------------
+
+TEST(CampaignService, WorkerKilledMidJobIsRedispatchedByteIdentically)
+{
+    TempBase tmp("killworker");
+    ServiceOptions sopts = fastService(tmp);
+    ProcFaultSpec kill;
+    kill.kind = ProcFaultKind::KillWorkerMidJob;
+    kill.attempts = 1; // every job's first dispatch dies, the retry runs
+    sopts.faults = ProcFaultPlan({kill});
+    ServiceProc service;
+    service.start(sopts);
+
+    const ClientOptions copts = fastClient(tmp);
+    const ClientOutcome outcome = runCampaignClient(copts);
+    ASSERT_EQ(outcome.status, ClientStatus::Completed)
+        << outcome.report.error;
+    EXPECT_EQ(clientTable(outcome, copts), groundTruthTable());
+
+    EXPECT_EQ(service.stop(), 0);
+
+    // Killed attempts journal nothing: one record per distinct key.
+    std::uint64_t records = 0, distinct = 0;
+    countJournalRecords(tmp.journal(), records, distinct);
+    EXPECT_EQ(records, distinct);
+    EXPECT_EQ(distinct, outcome.jobs.size());
+}
+
+TEST(CampaignService, PoisonJobIsQuarantinedOthersComplete)
+{
+    // Job 4 is a concurrent job with a key of its own, so every worker
+    // that runs it polls and dies.
+    constexpr std::size_t kPoison = 4;
+    TempBase tmp("poison");
+    ServiceOptions sopts = fastService(tmp);
+    ProcFaultSpec poison;
+    poison.kind = ProcFaultKind::KillWorkerMidJob;
+    poison.job_index = static_cast<int>(kPoison);
+    poison.attempts = 1000; // kills every worker that touches it
+    sopts.faults = ProcFaultPlan({poison});
+    ServiceProc service;
+    service.start(sopts);
+
+    const ClientOptions copts = fastClient(tmp);
+    const ClientOutcome outcome = runCampaignClient(copts);
+    ASSERT_EQ(outcome.status, ClientStatus::JobFailures)
+        << outcome.report.error;
+    ASSERT_GT(outcome.outcomes.size(), kPoison);
+    EXPECT_EQ(outcome.outcomes[kPoison].state,
+              CampaignJobState::Poisoned);
+    EXPECT_EQ(outcome.outcomes[kPoison].error_kind, "Poisoned");
+    EXPECT_EQ(outcome.report.failures, 1u);
+    for (std::size_t i = 0; i < outcome.outcomes.size(); ++i) {
+        if (i != kPoison) {
+            EXPECT_TRUE(outcome.outcomes[i].ok()) << "job " << i;
+        }
+    }
+
+    EXPECT_EQ(service.stop(), 0);
+}
+
 // ---- admission control ---------------------------------------------------
 
 TEST(CampaignService, OverloadRejectsWithRetryHint)

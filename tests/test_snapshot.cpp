@@ -22,30 +22,24 @@ TEST(SnapshotCodec, RoundTripsEveryScalarType)
     SnapshotWriter w;
     w.section("test");
     w.u8(0xab);
-    w.u32(0xdeadbeefu);
     w.u64(0x0123456789abcdefULL);
     w.i64(-42);
     w.boolean(true);
     w.boolean(false);
     w.f64(3.141592653589793);
     w.str("hello");
-    w.id(KernelId{2});
-    w.id(kInvalidKernel);
     w.unit(Cycle{12345});
     w.vecU64({1, 2, 3});
 
     SnapshotReader r(w.bytes());
     r.section("test");
     EXPECT_EQ(r.u8(), 0xab);
-    EXPECT_EQ(r.u32(), 0xdeadbeefu);
     EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
     EXPECT_EQ(r.i64(), -42);
     EXPECT_TRUE(r.boolean());
     EXPECT_FALSE(r.boolean());
     EXPECT_EQ(r.f64(), 3.141592653589793);
     EXPECT_EQ(r.str(), "hello");
-    EXPECT_EQ(r.id<KernelId>(), KernelId{2});
-    EXPECT_EQ(r.id<KernelId>(), kInvalidKernel);
     EXPECT_EQ(r.unit<Cycle>(), Cycle{12345});
     EXPECT_EQ(r.vecU64(), (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_TRUE(r.atEnd());

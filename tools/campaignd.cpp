@@ -1,14 +1,14 @@
 /**
  * @file
- * ckesim-campaignd: command-line front end of the fault-tolerant
- * campaign orchestrator. Two modes:
+ * ckesim-campaignd: command-line front end of the campaign worker
+ * fleet. Two modes over the same Fleet:
  *
- *  - batch (default): build a named campaign, run it over a forked
+ *  - batch (default): build a named campaign, run it over the forked
  *    worker fleet (or in-process), print a diff-stable result table;
  *  - service (--serve SOCKET): listen on an AF_UNIX socket as a
  *    long-lived daemon, accept concurrent ckesim-campaign-client
  *    submissions, dedupe jobs across campaigns by content hash, and
- *    stream results back (DESIGN.md section 16).
+ *    stream results back (DESIGN.md section 12.3).
  *
  * Output contract (batch): stdout carries ONLY the table — the
  * shared formatCampaignTable, byte-identical for any worker count,
@@ -19,28 +19,27 @@
  * diff.
  *
  * Usage:
- *   ckesim-campaignd [--campaign smoke] [--cycles N] [--workers N]
- *                    [--journal BASE] [--resume] [--in-process]
- *                    [--chaos kill-worker] [--heartbeat-ms N]
- *                    [--liveness-ms N] [--max-attempts N]
- *                    [--poison-deaths N]
- *   ckesim-campaignd --serve SOCKET [--workers N] [--journal BASE]
- *                    [--resume] [--max-pending-jobs N]
+ *   ckesim-campaignd [--campaign smoke] [--cycles N] [--in-process]
+ *                    [--chaos kill-worker] FLEET-FLAGS
+ *   ckesim-campaignd --serve SOCKET [--max-pending-jobs N]
  *                    [--max-client-campaigns N] [--idle-timeout-ms N]
- *                    [--heartbeat-ms N] [--liveness-ms N]
- *                    [--max-attempts N]
+ *                    FLEET-FLAGS
+ *
+ *   FLEET-FLAGS: [--workers N] [--journal BASE] [--resume]
+ *                [--heartbeat-ms N] [--liveness-ms N]
+ *                [--max-attempts N] [--poison-deaths N]
  *
  *   --journal BASE   durable shard journals at BASE.shard<N>
  *   --resume         keep existing journals (default wipes them);
- *                    in service mode this is the SIGKILL-recovery
- *                    path — completed results replay instead of
- *                    re-running
+ *                    completed results replay instead of re-running
  *   --chaos MODE     inject fleet faults; kill-worker = SIGKILL the
  *                    worker on every job's first dispatch attempt
  *
+ * A flag of the other mode is a usage error (exit 2), not ignored.
+ *
  * SIGTERM/SIGINT drain either mode: in-flight jobs finish, pending
- * jobs are marked drained, workers shut down cleanly; the service
- * additionally refuses new submissions while draining.
+ * jobs end Drained, workers shut down cleanly; the service also
+ * refuses new submissions while draining.
  *
  * Exit codes: 0 = all jobs completed (batch) / clean drain (serve),
  * 1 = failures (failed, poisoned or exhausted jobs), 2 =
@@ -48,9 +47,9 @@
  */
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,7 +59,6 @@
 #include "campaign/campaign_engine.hpp"
 #include "campaign/campaign_spec.hpp"
 #include "campaign/service.hpp"
-#include "metrics/journal.hpp"
 #include "sim/check.hpp"
 
 namespace {
@@ -85,29 +83,25 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: ckesim-campaignd [--campaign smoke|pairs] "
-        "[--cycles N] [--workers N]\n"
-        "                        [--journal BASE] [--resume] "
+        "usage: ckesim-campaignd [--campaign smoke|pairs] [--cycles N] "
         "[--in-process]\n"
-        "                        [--chaos kill-worker] "
-        "[--heartbeat-ms N] [--liveness-ms N]\n"
-        "                        [--max-attempts N] "
-        "[--poison-deaths N]\n"
-        "       ckesim-campaignd --serve SOCKET [--workers N] "
-        "[--journal BASE] [--resume]\n"
-        "                        [--max-pending-jobs N] "
-        "[--max-client-campaigns N]\n"
-        "                        [--idle-timeout-ms N] "
-        "[--heartbeat-ms N] [--liveness-ms N]\n"
-        "                        [--max-attempts N]\n");
+        "                        [--chaos kill-worker] FLEET-FLAGS\n"
+        "       ckesim-campaignd --serve SOCKET [--max-pending-jobs N]\n"
+        "                        [--max-client-campaigns N] "
+        "[--idle-timeout-ms N] FLEET-FLAGS\n"
+        "FLEET-FLAGS: [--workers N] [--journal BASE] [--resume] "
+        "[--heartbeat-ms N]\n"
+        "             [--liveness-ms N] [--max-attempts N] "
+        "[--poison-deaths N]\n");
 }
 
+/** Parse a count in [@p lo, @p hi]. */
 bool
-parseLong(const char *s, long long &out)
+parseCount(const char *s, long long lo, long long hi, long long &out)
 {
     char *end = nullptr;
     out = std::strtoll(s, &end, 10);
-    return end != nullptr && *end == '\0' && end != s;
+    return end != s && *end == '\0' && out >= lo && out <= hi;
 }
 
 /** Validate a campaign name up front so a typo is a usage error
@@ -126,38 +120,35 @@ knownCampaign(const std::string &name)
     return false;
 }
 
+void
+installDrainHandler()
+{
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof sa);
+    sa.sa_handler = onDrainSignal;
+    ::sigaction(SIGTERM, &sa, nullptr);
+    ::sigaction(SIGINT, &sa, nullptr);
+}
+
 int
 runService(const ServiceOptions &opts)
 {
     try {
         CampaignService service(opts);
         g_service = &service;
-        struct sigaction sa;
-        std::memset(&sa, 0, sizeof sa);
-        sa.sa_handler = onDrainSignal;
-        ::sigaction(SIGTERM, &sa, nullptr);
-        ::sigaction(SIGINT, &sa, nullptr);
-
+        installDrainHandler();
         const ServiceReport r = service.serve();
         g_service = nullptr;
-
-        std::fprintf(
-            stderr,
-            "connections=%" PRIu64 " submissions=%" PRIu64
-            " rejected=%" PRIu64 " campaigns_done=%" PRIu64 "\n"
-            "jobs_completed=%" PRIu64 " jobs_failed=%" PRIu64
-            " journal_hits=%" PRIu64 " dedupe_hits=%" PRIu64
-            " dispatched=%" PRIu64 " redispatched=%" PRIu64 "\n"
-            "client_corrupt=%" PRIu64 " client_disconnects=%" PRIu64
-            " worker_deaths=%" PRIu64 " respawned=%" PRIu64
-            " hung_killed=%" PRIu64 " pings=%" PRIu64 "%s\n",
-            r.connections, r.submissions, r.rejected,
-            r.campaigns_done, r.jobs_completed, r.jobs_failed,
-            r.journal_hits, r.dedupe_hits, r.dispatched,
-            r.redispatched, r.client_corrupt, r.client_disconnects,
-            r.worker_deaths, r.workers_respawned,
-            r.hung_workers_killed, r.pings,
-            r.drain_requested ? " drain_requested" : "");
+        std::fprintf(stderr,
+                     "connections=%" PRIu64 " submissions=%" PRIu64
+                     " rejected=%" PRIu64 " campaigns_done=%" PRIu64
+                     " client_corrupt=%" PRIu64
+                     " client_disconnects=%" PRIu64 " pings=%" PRIu64
+                     "\n%s\n",
+                     r.connections, r.submissions, r.rejected,
+                     r.campaigns_done, r.client_corrupt,
+                     r.client_disconnects, r.pings,
+                     formatFleetReport(r).c_str());
         return 0;
     } catch (const SimError &e) {
         std::fprintf(stderr, "campaignd: [%s] %s\n",
@@ -166,206 +157,10 @@ runService(const ServiceOptions &opts)
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBatch(const CampaignOptions &opts, const std::string &campaign,
+         long long cycles)
 {
-    std::string campaign = "smoke";
-    std::string chaos;
-    std::string serve_socket;
-    bool serve = false;
-    long long cycles = 20000;
-    CampaignOptions opts;
-    ServiceOptions sopts;
-
-    bool resume = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--campaign" && has_value) {
-            campaign = argv[++i];
-        } else if (arg == "--serve" && has_value) {
-            serve = true;
-            serve_socket = argv[++i];
-        } else if (arg == "--cycles" && has_value) {
-            if (!parseLong(argv[++i], cycles) || cycles <= 0) {
-                std::fprintf(stderr,
-                             "--cycles wants a positive count\n");
-                usage();
-                return 2;
-            }
-        } else if (arg == "--workers" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 1 || v > 256) {
-                std::fprintf(
-                    stderr,
-                    "--workers wants a count in [1, 256]\n");
-                usage();
-                return 2;
-            }
-            opts.workers = static_cast<int>(v);
-            sopts.workers = static_cast<int>(v);
-        } else if (arg == "--journal" && has_value) {
-            opts.journal_base = argv[++i];
-            sopts.journal_base = opts.journal_base;
-        } else if (arg == "--resume") {
-            resume = true;
-            sopts.resume = true;
-        } else if (arg == "--in-process") {
-            opts.force_in_process = true;
-        } else if (arg == "--chaos" && has_value) {
-            chaos = argv[++i];
-        } else if (arg == "--heartbeat-ms" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 1) {
-                std::fprintf(
-                    stderr,
-                    "--heartbeat-ms wants a positive count\n");
-                usage();
-                return 2;
-            }
-            opts.heartbeat_ms = static_cast<std::uint64_t>(v);
-            sopts.heartbeat_ms = opts.heartbeat_ms;
-        } else if (arg == "--liveness-ms" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 1) {
-                std::fprintf(
-                    stderr,
-                    "--liveness-ms wants a positive count\n");
-                usage();
-                return 2;
-            }
-            opts.liveness_deadline_ms =
-                static_cast<std::uint64_t>(v);
-            sopts.liveness_deadline_ms = opts.liveness_deadline_ms;
-        } else if (arg == "--max-attempts" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 1) {
-                std::fprintf(
-                    stderr,
-                    "--max-attempts wants a positive count\n");
-                usage();
-                return 2;
-            }
-            opts.max_dispatch_attempts = static_cast<int>(v);
-            sopts.max_dispatch_attempts = static_cast<int>(v);
-        } else if (arg == "--poison-deaths" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 1) {
-                std::fprintf(
-                    stderr,
-                    "--poison-deaths wants a positive count\n");
-                usage();
-                return 2;
-            }
-            opts.poison_worker_deaths = static_cast<int>(v);
-        } else if (arg == "--max-pending-jobs" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 1) {
-                std::fprintf(
-                    stderr,
-                    "--max-pending-jobs wants a positive count\n");
-                usage();
-                return 2;
-            }
-            sopts.max_pending_jobs = static_cast<std::size_t>(v);
-        } else if (arg == "--max-client-campaigns" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 1) {
-                std::fprintf(stderr,
-                             "--max-client-campaigns wants a "
-                             "positive count\n");
-                usage();
-                return 2;
-            }
-            sopts.max_client_campaigns =
-                static_cast<std::size_t>(v);
-        } else if (arg == "--idle-timeout-ms" && has_value) {
-            long long v = 0;
-            if (!parseLong(argv[++i], v) || v < 0) {
-                std::fprintf(stderr,
-                             "--idle-timeout-ms wants a count >= 0 "
-                             "(0 disables)\n");
-                usage();
-                return 2;
-            }
-            sopts.idle_timeout_ms = static_cast<std::uint64_t>(v);
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--campaign" || arg == "--serve" ||
-                   arg == "--cycles" || arg == "--workers" ||
-                   arg == "--journal" || arg == "--chaos" ||
-                   arg == "--heartbeat-ms" ||
-                   arg == "--liveness-ms" ||
-                   arg == "--max-attempts" ||
-                   arg == "--poison-deaths" ||
-                   arg == "--max-pending-jobs" ||
-                   arg == "--max-client-campaigns" ||
-                   arg == "--idle-timeout-ms") {
-            std::fprintf(stderr, "missing value for %s\n",
-                         arg.c_str());
-            usage();
-            return 2;
-        } else {
-            std::fprintf(stderr, "unknown argument '%s'\n",
-                         arg.c_str());
-            usage();
-            return 2;
-        }
-    }
-
-    if (!chaos.empty()) {
-        if (serve) {
-            std::fprintf(stderr,
-                         "--chaos applies to batch mode only "
-                         "(service chaos is client-driven)\n");
-            usage();
-            return 2;
-        }
-        if (chaos == "kill-worker") {
-            // SIGKILL the worker on every job's FIRST dispatch
-            // attempt; re-dispatches (attempt >= 1) run clean. The
-            // terminal states — and therefore the stdout table —
-            // match an unharassed run exactly.
-            ProcFaultSpec spec;
-            spec.kind = ProcFaultKind::KillWorkerMidJob;
-            spec.attempts = 1;
-            opts.faults = ProcFaultPlan({spec});
-        } else {
-            std::fprintf(stderr,
-                         "unknown chaos mode '%s' (try: "
-                         "kill-worker)\n",
-                         chaos.c_str());
-            return 2;
-        }
-    }
-
-    if (serve) {
-        sopts.socket_path = serve_socket;
-        return runService(sopts);
-    }
-
-    if (!knownCampaign(campaign)) {
-        usage();
-        return 2;
-    }
-
-    if (!resume && !opts.journal_base.empty()) {
-        // Fresh campaign: drop stale shards and the merged journal so
-        // the run cannot be satisfied by a previous campaign's
-        // results.
-        for (int slot = 0; slot < 256; ++slot) {
-            const std::string p =
-                CampaignEngine::shardPath(opts.journal_base, slot);
-            if (::unlink(p.c_str()) != 0)
-                break;
-        }
-        (void)::unlink(
-            CampaignEngine::mergedPath(opts.journal_base).c_str());
-    }
-
     try {
         const std::vector<SimJob> jobs =
             buildNamedCampaign(campaign, Cycle{
@@ -373,12 +168,7 @@ main(int argc, char **argv)
 
         CampaignEngine engine(opts);
         g_engine = &engine;
-        struct sigaction sa;
-        std::memset(&sa, 0, sizeof sa);
-        sa.sa_handler = onDrainSignal;
-        ::sigaction(SIGTERM, &sa, nullptr);
-        ::sigaction(SIGINT, &sa, nullptr);
-
+        installDrainHandler();
         const CampaignOutcome outcome = engine.run(jobs);
         g_engine = nullptr;
 
@@ -392,23 +182,15 @@ main(int argc, char **argv)
 
         // ---- fleet accounting (stderr) -----------------------------
         const CampaignReport &r = outcome.report;
-        std::fprintf(
-            stderr,
-            "workers=%d%s completed=%" PRIu64 " journal_hits=%" PRIu64
-            " dispatched=%" PRIu64 " redispatched=%" PRIu64 "\n"
-            "worker_deaths=%" PRIu64 " respawned=%" PRIu64
-            " hung_killed=%" PRIu64 " corrupt_frames=%" PRIu64
-            " heartbeats=%" PRIu64 "\n"
-            "poisoned=%" PRIu64 " failed=%" PRIu64 " drained=%" PRIu64
-            "%s%s\n",
-            opts.workers,
-            r.degraded_in_process ? " (degraded in-process)" : "",
-            r.completed, r.journal_hits, r.dispatched,
-            r.redispatched, r.worker_deaths, r.workers_respawned,
-            r.hung_workers_killed, r.corrupt_frames, r.heartbeats,
-            r.poisoned, r.failed, r.drained,
-            r.drain_requested ? " drain_requested" : "",
-            outcome.allCompleted() ? " ALL-COMPLETED" : "");
+        std::fprintf(stderr,
+                     "workers=%d%s completed=%" PRIu64
+                     " failed=%" PRIu64 " drained=%" PRIu64 "%s\n%s\n",
+                     opts.workers,
+                     r.degraded_in_process ? " (degraded in-process)"
+                                           : "",
+                     r.completed, r.failed, r.drained,
+                     outcome.allCompleted() ? " ALL-COMPLETED" : "",
+                     formatFleetReport(r).c_str());
 
         if (outcome.allCompleted())
             return 0;
@@ -420,4 +202,155 @@ main(int argc, char **argv)
                      e.kind().c_str(), e.what());
         return 2;
     }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Flags that take a value, with the mode they belong to.
+    enum class Mode { Both, Batch, Serve };
+    struct Flag
+    {
+        const char *name;
+        Mode mode;
+    };
+    static const Flag kValued[] = {
+        {"--serve", Mode::Both}, // selects the mode
+        {"--campaign", Mode::Batch},
+        {"--cycles", Mode::Batch},
+        {"--chaos", Mode::Batch},
+        {"--max-pending-jobs", Mode::Serve},
+        {"--max-client-campaigns", Mode::Serve},
+        {"--idle-timeout-ms", Mode::Serve},
+        {"--workers", Mode::Both},
+        {"--journal", Mode::Both},
+        {"--heartbeat-ms", Mode::Both},
+        {"--liveness-ms", Mode::Both},
+        {"--max-attempts", Mode::Both},
+        {"--poison-deaths", Mode::Both},
+    };
+
+    std::string campaign = "smoke";
+    std::string chaos;
+    std::string serve_socket;
+    long long cycles = 20000;
+    bool in_process = false;
+    FleetOptions fleet;
+    fleet.resume = false; // the CLI starts fresh unless --resume
+    ServiceOptions sopts;
+    const char *batch_only = nullptr; // first batch-only flag seen
+    const char *serve_only = nullptr; // first serve-only flag seen
+
+    const auto bad = [](const std::string &why) {
+        std::fprintf(stderr, "%s\n", why.c_str());
+        usage();
+        return 2;
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            usage();
+            return 0;
+        }
+        if (arg == "--resume") {
+            fleet.resume = true;
+            continue;
+        }
+        if (arg == "--in-process") {
+            in_process = true;
+            batch_only = batch_only ? batch_only : argv[i];
+            continue;
+        }
+        const Flag *flag = nullptr;
+        for (const Flag &f : kValued)
+            if (arg == f.name)
+                flag = &f;
+        if (flag == nullptr)
+            return bad("unknown argument '" + arg + "'");
+        if (i + 1 >= argc)
+            return bad("missing value for " + arg);
+        if (flag->mode == Mode::Batch && batch_only == nullptr)
+            batch_only = flag->name;
+        if (flag->mode == Mode::Serve && serve_only == nullptr)
+            serve_only = flag->name;
+        const char *value = argv[++i];
+        long long v = 0;
+        if (arg == "--serve") {
+            serve_socket = value;
+        } else if (arg == "--campaign") {
+            campaign = value;
+        } else if (arg == "--chaos") {
+            chaos = value;
+        } else if (arg == "--journal") {
+            fleet.journal_base = value;
+        } else if (arg == "--cycles") {
+            if (!parseCount(value, 1, INT64_MAX, cycles))
+                return bad("--cycles wants a positive count");
+        } else if (arg == "--workers") {
+            if (!parseCount(value, 1, 256, v))
+                return bad("--workers wants a count in [1, 256]");
+            fleet.workers = static_cast<int>(v);
+        } else if (arg == "--idle-timeout-ms") {
+            if (!parseCount(value, 0, INT64_MAX, v))
+                return bad("--idle-timeout-ms wants a count >= 0 "
+                           "(0 disables)");
+            sopts.idle_timeout_ms = static_cast<std::uint64_t>(v);
+        } else {
+            if (!parseCount(value, 1, INT64_MAX, v))
+                return bad(arg + " wants a positive count");
+            if (arg == "--heartbeat-ms")
+                fleet.heartbeat_ms = static_cast<std::uint64_t>(v);
+            else if (arg == "--liveness-ms")
+                fleet.liveness_deadline_ms =
+                    static_cast<std::uint64_t>(v);
+            else if (arg == "--max-attempts")
+                fleet.max_dispatch_attempts = static_cast<int>(v);
+            else if (arg == "--poison-deaths")
+                fleet.poison_worker_deaths = static_cast<int>(v);
+            else if (arg == "--max-pending-jobs")
+                sopts.max_pending_jobs = static_cast<std::size_t>(v);
+            else
+                sopts.max_client_campaigns =
+                    static_cast<std::size_t>(v);
+        }
+    }
+
+    const bool serve = !serve_socket.empty();
+    if (serve && batch_only != nullptr)
+        return bad(std::string(batch_only) +
+                   " applies to batch mode only");
+    if (!serve && serve_only != nullptr)
+        return bad(std::string(serve_only) +
+                   " applies to --serve mode only");
+
+    if (serve) {
+        static_cast<FleetOptions &>(sopts) = fleet;
+        sopts.socket_path = serve_socket;
+        return runService(sopts);
+    }
+
+    if (!chaos.empty()) {
+        if (chaos != "kill-worker") {
+            std::fprintf(stderr,
+                         "unknown chaos mode '%s' (try: "
+                         "kill-worker)\n",
+                         chaos.c_str());
+            return 2;
+        }
+        // SIGKILL the worker on every job's FIRST dispatch attempt;
+        // re-dispatches (attempt >= 1) run clean. The terminal states
+        // — and therefore the stdout table — match an unharassed run
+        // exactly.
+        ProcFaultSpec spec;
+        spec.kind = ProcFaultKind::KillWorkerMidJob;
+        spec.attempts = 1;
+        fleet.faults = ProcFaultPlan({spec});
+    }
+    if (!knownCampaign(campaign)) {
+        usage();
+        return 2;
+    }
+    return runBatch(CampaignOptions{fleet, in_process}, campaign, cycles);
 }
