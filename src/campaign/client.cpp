@@ -367,7 +367,7 @@ runCampaignClient(const ClientOptions &opts)
     RetryPolicy backoff;
     backoff.max_retries = opts.retries;
     backoff.backoff_ms = opts.backoff_ms;
-    backoff.jitter_pct = opts.backoff_jitter_pct;
+    backoff.jitter_pct = kClientBackoffJitterPct;
 
     for (int attempt = 0;; ++attempt) {
         ++outcome.report.attempts;

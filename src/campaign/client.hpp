@@ -40,6 +40,9 @@
 
 namespace ckesim {
 
+/** Jitter percentage on top of the client's doubled backoff base. */
+inline constexpr std::uint32_t kClientBackoffJitterPct = 50;
+
 /** One submission attempt's shape and persistence. */
 struct ClientOptions
 {
@@ -60,9 +63,6 @@ struct ClientOptions
 
     /** Base for the deterministic jittered retry backoff. */
     std::uint64_t backoff_ms = 50;
-
-    /** Jitter percentage on top of the doubled backoff base. */
-    std::uint32_t backoff_jitter_pct = 50;
 
     /** Client-side chaos plan (CorruptClientFrame /
      *  DropClientMidStream). */

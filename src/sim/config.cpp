@@ -86,6 +86,13 @@ GpuConfig::validate() const
     if (sm.max_threads < sm.simd_width)
         configFail("sm.max_threads",
                    "must hold at least one warp (simd_width)");
+    // The SM's issue stage keeps one 64-bit slot mask per scheduler.
+    if (sm.max_warps > 64 * sm.num_schedulers)
+        configFail("sm.max_warps",
+                   "at most 64 warp slots per scheduler (64 * "
+                   "sm.num_schedulers = " +
+                       std::to_string(64 * sm.num_schedulers) +
+                       "), got " + std::to_string(sm.max_warps));
 
     // L1D miss resources.
     validateCacheGeometry("l1d", l1d.size_bytes, l1d.line_bytes,

@@ -4,10 +4,13 @@ namespace ckesim {
 
 WarpScheduler::WarpScheduler(int id, int num_schedulers, int max_warps,
                              SchedPolicy policy)
-    : id_(id), policy_(policy)
+    : id_(id), stride_(num_schedulers),
+      num_slots_(max_warps > id
+                     ? (max_warps - id + num_schedulers - 1) /
+                           num_schedulers
+                     : 0),
+      policy_(policy)
 {
-    for (int slot = id; slot < max_warps; slot += num_schedulers)
-        slots_.push_back(WarpSlot{slot});
 }
 
 } // namespace ckesim

@@ -1,6 +1,7 @@
 #include "sm/sm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "mem/coalescer.hpp"
@@ -30,7 +31,7 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
       l1d_(cfg.l1d, sm_id),
       lsu_(cfg.sm.lsu_queue_depth, cfg.l1d.hit_latency, sm_id),
       warps_(static_cast<std::size_t>(cfg.sm.max_warps)),
-      scan_meta_(warps_.size()), scan_age_(warps_.size()),
+      scan_meta_(warps_.size()),
       tbs_(static_cast<std::size_t>(cfg.sm.max_tbs))
 {
     SIM_CHECK(!kernels.empty() &&
@@ -39,14 +40,32 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
               "SM built with " << kernels.size()
                                << " kernels (max " << kMaxKernelsPerSm
                                << ")");
+    SIM_CHECK(cfg.sm.max_warps <= 64 * cfg.sm.num_schedulers,
+              smCtx(sm_id),
+              "sm.max_warps " << cfg.sm.max_warps
+                              << " exceeds one 64-slot mask per "
+                                 "scheduler");
     ctx_.resize(kernels.size());
     for (std::size_t k = 0; k < kernels.size(); ++k)
         ctx_[k].prof = kernels[k];
 
     schedulers_.reserve(static_cast<std::size_t>(cfg.sm.num_schedulers));
-    for (int s = 0; s < cfg.sm.num_schedulers; ++s)
-        schedulers_.emplace_back(s, cfg.sm.num_schedulers,
-                                 cfg.sm.max_warps, cfg.sm.sched_policy);
+    masks_.resize(static_cast<std::size_t>(cfg.sm.num_schedulers));
+    slot_home_.resize(warps_.size());
+    for (int s = 0; s < cfg.sm.num_schedulers; ++s) {
+        const WarpScheduler &sched = schedulers_.emplace_back(
+            s, cfg.sm.num_schedulers, cfg.sm.max_warps,
+            cfg.sm.sched_policy);
+        IssueMasks &m = masks_[static_cast<std::size_t>(s)];
+        m.age.resize(static_cast<std::size_t>(sched.numSlots()));
+        for (int local = 0; local < sched.numSlots(); ++local) {
+            slot_home_[sched.slotAt(local).idx()] = {
+                static_cast<std::uint32_t>(s),
+                static_cast<std::uint32_t>(local)};
+            // Every slot starts free: packed kernel 0.
+            m.kern[0] |= std::uint64_t{1} << local;
+        }
+    }
 
     scratch_thread_addrs_.reserve(
         static_cast<std::size_t>(cfg.sm.simd_width));
@@ -61,7 +80,8 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
     std::size_t span = 1;
     while (span < static_cast<std::size_t>(max_latency) + 2)
         span <<= 1;
-    due_wheel_.resize(span);
+    due_words_ = (warps_.size() + 63) / 64;
+    due_wheel_.assign(span * due_words_, 0);
     due_mask_ = span - 1;
 }
 
@@ -178,14 +198,19 @@ void
 Sm::preScan(Cycle now, std::array<bool, kMaxKernelsPerSm> &mem_demand)
 {
     // Due warps were filed at issue time; only they can transition
-    // this cycle, so the full-table scan is gone.
-    std::vector<WarpSlot> &due =
-        due_wheel_[static_cast<std::size_t>(now.get()) & due_mask_];
-    if (!due.empty()) {
-        // Ascending slot order: identical transition order to the
-        // full scan this replaces.
-        std::sort(due.begin(), due.end());
-        for (const WarpSlot slot : due) {
+    // this cycle. They transition in ascending slot order, which the
+    // simulated results depend on. Nothing below files into this
+    // bucket (a Busy warp is due at least one cycle out).
+    std::uint64_t *due =
+        &due_wheel_[(static_cast<std::size_t>(now.get()) & due_mask_) *
+                    due_words_];
+    for (std::size_t word = 0; word < due_words_; ++word) {
+        std::uint64_t bits = due[word];
+        due[word] = 0;
+        for (; bits != 0; bits &= bits - 1) {
+            const WarpSlot slot{static_cast<int>(
+                word * 64 +
+                static_cast<std::size_t>(std::countr_zero(bits)))};
             Warp &w = warps_[slot.idx()];
             SIM_INVARIANT(w.state == WarpState::Busy &&
                               w.ready_at <= now,
@@ -206,7 +231,6 @@ Sm::preScan(Cycle now, std::array<bool, kMaxKernelsPerSm> &mem_demand)
             w.state = WarpState::Ready;
             syncScan(slot.idx());
         }
-        due.clear();
     }
     // mem_demand falls out of the incrementally maintained counters.
     for (int k = 0; k < kMaxKernelsPerSm; ++k)
@@ -315,25 +339,6 @@ Sm::tryDispatch(Cycle now)
     }
 }
 
-bool
-Sm::canIssueWarp(WarpSlot slot) const
-{
-    const std::uint8_t meta = scan_meta_[slot.idx()];
-    if ((meta & kScanStateMask) !=
-        static_cast<std::uint8_t>(WarpState::Ready))
-        return false;
-    const KernelId k{meta >> kScanKernelShift};
-    if (!controller_.admitAnyIssue(k))
-        return false;
-    if ((meta & kScanMemBit) != 0) {
-        if (!lsu_.hasRoom())
-            return false;
-        if (!controller_.admitMemIssue(k))
-            return false;
-    }
-    return true;
-}
-
 void
 Sm::issueFrom(WarpSlot slot, Cycle now)
 {
@@ -416,24 +421,40 @@ Sm::tick(Cycle now)
 
     tryDispatch(now);
 
-    // GTO reads ages through the dense mirror, not the Warp records.
-    struct AgeView
-    {
-        const std::uint64_t *ages;
-        struct Ref
-        {
-            std::uint64_t age;
-        };
-        Ref operator[](std::size_t i) const { return {ages[i]}; }
-    };
-    const AgeView ages{scan_age_.data()};
-    for (WarpScheduler &sched : schedulers_) {
-        const WarpSlot slot = sched.pick(
-            ages, [&](WarpSlot s) { return canIssueWarp(s); });
+    // Issue gates per kernel: shared by every scheduler turn of this
+    // cycle and re-evaluated after each issue, which moves LSU
+    // occupancy, in-flight counts and quotas.
+    const int num_kernels = numKernels();
+    std::array<bool, kMaxKernelsPerSm> admit_any{};
+    std::array<bool, kMaxKernelsPerSm> admit_mem{};
+    bool gates_fresh = false;
+    for (std::size_t i = 0; i < schedulers_.size(); ++i) {
+        const IssueMasks &m = masks_[i];
+        if (m.ready == 0)
+            continue;
+        if (!gates_fresh) {
+            const bool lsu_room = lsu_.hasRoom();
+            for (int ki = 0; ki < num_kernels; ++ki) {
+                const KernelId k{ki};
+                admit_any[k.idx()] = controller_.admitAnyIssue(k);
+                admit_mem[k.idx()] = admit_any[k.idx()] && lsu_room &&
+                                     controller_.admitMemIssue(k);
+            }
+            gates_fresh = true;
+        }
+        std::uint64_t issuable = 0;
+        for (std::size_t k = 0; k < static_cast<std::size_t>(num_kernels);
+             ++k) {
+            if (admit_any[k])
+                issuable |= admit_mem[k] ? m.kern[k] : m.kern[k] & ~m.mem;
+        }
+        WarpScheduler &sched = schedulers_[i];
+        const WarpSlot slot = sched.pick(issuable & m.ready, m.age.data());
         if (!slot.valid())
             continue;
         issueFrom(slot, now);
         sched.onIssue(slot);
+        gates_fresh = false;
     }
 
     // Injected fault: the head access fails reservation regardless

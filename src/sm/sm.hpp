@@ -172,22 +172,38 @@ class Sm : public LsuHost
     void tryDispatch(Cycle now);
     bool resourcesFit(const KernelProfile &prof) const;
     bool launchTb(KernelId k);
-    bool canIssueWarp(WarpSlot slot) const;
     void issueFrom(WarpSlot slot, Cycle now);
     void requestReturned(WarpSlot warp_slot, Cycle now);
     void retireWarp(WarpSlot slot);
 
     // ---- dense scan block (DESIGN.md §14) ---------------------------
-    // The per-cycle scheduler picks walk every warp slot; reading the
-    // ~176-byte Warp records costs one cache line per slot per scan.
-    // These L1-resident mirrors pack the only fields the picks need.
-    // Derived from warps_ — resynced by syncScan() on every
-    // transition.
+    // The per-cycle scheduler picks never read the ~176-byte Warp
+    // records: they work from per-scheduler bitmasks (bit i = local
+    // slot i of that scheduler) and a dense age mirror. Derived from
+    // warps_ — resynced by syncScan() on every transition.
     static constexpr std::uint8_t kScanStateMask = 0x07;
     static constexpr std::uint8_t kScanMemBit = 0x08;
     static constexpr int kScanKernelShift = 4;
     static constexpr std::uint8_t kScanReadyMem =
         static_cast<std::uint8_t>(WarpState::Ready) | kScanMemBit;
+
+    /** One scheduler's slot masks. */
+    struct IssueMasks
+    {
+        std::uint64_t ready = 0; ///< state == Ready
+        std::uint64_t mem = 0;   ///< next instruction is global-mem
+        /** Slots whose (packed) kernel is k; free slots sit in k=0. */
+        std::array<std::uint64_t, kMaxKernelsPerSm> kern{};
+        std::vector<std::uint64_t> age; ///< TB age per local slot
+    };
+
+    /** Where a warp slot lives in the masks (looked up, not divided
+     *  out, on every transition). */
+    struct SlotHome
+    {
+        std::uint32_t sched = 0; ///< slot % num_schedulers
+        std::uint32_t local = 0; ///< slot / num_schedulers (bit index)
+    };
 
     static std::uint8_t
     packScanMeta(const Warp &w)
@@ -201,9 +217,9 @@ class Sm : public LsuHost
             (kern << kScanKernelShift));
     }
 
-    /** Mirror slot @p s of warps_ into the scan block, keeping the
-     *  per-kernel Ready-with-mem counters (incremental mem_demand)
-     *  in step. */
+    /** Mirror slot @p s of warps_ into the scan block: its
+     *  scheduler's masks and age, and the per-kernel Ready-with-mem
+     *  counters (incremental mem_demand). */
     void
     syncScan(std::size_t s)
     {
@@ -216,16 +232,29 @@ class Sm : public LsuHost
         if ((neu & probe) == kScanReadyMem)
             ++ready_mem_[neu >> kScanKernelShift];
         scan_meta_[s] = neu;
-        scan_age_[s] = w.age;
+
+        const SlotHome home = slot_home_[s];
+        IssueMasks &m = masks_[home.sched];
+        const std::uint64_t bit = std::uint64_t{1} << home.local;
+        auto assign = [bit](std::uint64_t &mask, bool on) {
+            mask = on ? mask | bit : mask & ~bit;
+        };
+        assign(m.ready, (neu & kScanStateMask) ==
+                            static_cast<std::uint8_t>(WarpState::Ready));
+        assign(m.mem, (neu & kScanMemBit) != 0);
+        m.kern[old >> kScanKernelShift] &= ~bit;
+        m.kern[neu >> kScanKernelShift] |= bit;
+        m.age[home.local] = w.age;
     }
 
     /** File a newly Busy warp under its due cycle (see due_wheel_). */
     void
     fileDue(WarpSlot slot, Cycle ready_at)
     {
-        due_wheel_[static_cast<std::size_t>(ready_at.get()) &
-                   due_mask_]
-            .push_back(slot);
+        const std::size_t bucket =
+            static_cast<std::size_t>(ready_at.get()) & due_mask_;
+        due_wheel_[bucket * due_words_ + slot.idx() / 64] |=
+            std::uint64_t{1} << (slot.idx() % 64);
     }
 
     GpuConfig cfg_;
@@ -239,13 +268,17 @@ class Sm : public LsuHost
     std::vector<Warp> warps_;
     // Dense scan mirrors, derived from warps_:
     std::vector<std::uint8_t> scan_meta_; // state|mem|kernel
-    std::vector<std::uint64_t> scan_age_; // age mirror (GTO)
+    std::vector<IssueMasks> masks_;       // one per scheduler
+    std::vector<SlotHome> slot_home_;     // per warp slot
     /** Due-wheel: Busy warps are filed under their ready_at bucket at
      *  issue, so preScan visits only the warps due this cycle instead
-     *  of scanning every slot. No bucket aliasing: the wheel spans
-     *  more cycles than the longest issue latency, a Busy warp never
-     *  changes ready_at, and the run loop ticks every cycle. */
-    std::vector<std::vector<WarpSlot>> due_wheel_;
+     *  of scanning every slot. A bucket is a bitset over warp slots
+     *  (due_words_ words), walked in ascending slot order. No bucket
+     *  aliasing: the wheel spans more cycles than the longest issue
+     *  latency, a Busy warp never changes ready_at, and the run loop
+     *  ticks every cycle. */
+    std::vector<std::uint64_t> due_wheel_;
+    std::size_t due_words_ = 0;
     std::size_t due_mask_ = 0;
     /** Ready warps whose next instruction is global-mem, per kernel. */
     std::array<int, kMaxKernelsPerSm> ready_mem_{};

@@ -99,6 +99,10 @@ TEST(ConfigValidate, AcceptsTable1AndSmallConfigs)
     EXPECT_NO_THROW(GpuConfig{}.validate());
     EXPECT_NO_THROW(makeSmallConfig(4, 4).validate());
     EXPECT_NO_THROW(makeSmallConfig(1, 1).validate());
+    GpuConfig widest;
+    widest.sm.num_schedulers = 1;
+    widest.sm.max_warps = 64; // one full slot mask
+    EXPECT_NO_THROW(widest.validate());
 }
 
 TEST(ConfigValidate, RejectsMalformedConfigsByName)
@@ -108,6 +112,12 @@ TEST(ConfigValidate, RejectsMalformedConfigsByName)
         {"sm.lsu_queue_depth",
          [](GpuConfig &c) { c.sm.lsu_queue_depth = 0; }},
         {"sm.max_warps", [](GpuConfig &c) { c.sm.max_warps = -1; }},
+        {"sm.max_warps", [](GpuConfig &c) { c.sm.max_warps = 257; }},
+        {"sm.max_warps",
+         [](GpuConfig &c) {
+             c.sm.num_schedulers = 1;
+             c.sm.max_warps = 65;
+         }},
         {"l1d", [](GpuConfig &c) { c.l1d.assoc = 5; }},
         {"l1d", [](GpuConfig &c) { c.l1d.line_bytes = 48; }},
         {"l1d.num_mshrs", [](GpuConfig &c) { c.l1d.num_mshrs = 0; }},

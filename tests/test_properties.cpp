@@ -249,6 +249,89 @@ TEST(Determinism, SplitRunsMatchOneRun)
     }
 }
 
+TEST(Determinism, GoldenFingerprints)
+{
+    // Pinned across commits: a change to the SM issue stage (pick
+    // order, gate evaluation, due-wheel transition order) that alters
+    // any simulated counter fails here, not only in a hand diff of
+    // the bench tables. The values are compiler-independent (-O0 and
+    // -O3 builds agree); update them only for an intended change of
+    // simulated behaviour, and say so in the change log.
+    const Workload w = makeWorkload({"sv", "ks"});
+    auto ws = [](BmiMode bmi, MilMode mil) {
+        SchemeSpec s =
+            makeScheme(PartitionScheme::WarpedSlicer, bmi, mil);
+        s.ws_profile_window = Cycle{2000};
+        return s;
+    };
+    struct Case
+    {
+        std::string name;
+        SchemeSpec spec;
+        SchedPolicy policy;
+        std::uint64_t golden;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"ws-gto", ws(BmiMode::None, MilMode::None),
+                     SchedPolicy::GTO, 0x818c3c27387b0653ull});
+    cases.push_back({"ws-lrr", ws(BmiMode::None, MilMode::None),
+                     SchedPolicy::LRR, 0x0bb596f4600718b2ull});
+    {
+        SchemeSpec s = makeScheme(PartitionScheme::SmkDrf,
+                                  BmiMode::None, MilMode::None);
+        s.smk_warp_quota = true;
+        s.isolated_ipc_per_sm = {0.9, 0.4};
+        s.smk_epoch_cycles = Cycle{512};
+        cases.push_back({"smk-drf-quota", s, SchedPolicy::GTO,
+                         0x2c305e1083d9f056ull});
+    }
+    cases.push_back({"ws-rbmi", ws(BmiMode::RBMI, MilMode::None),
+                     SchedPolicy::GTO, 0x814c0fb2a319e690ull});
+    {
+        SchemeSpec s = ws(BmiMode::QBMI, MilMode::Dynamic);
+        s.global_dmil = true;
+        cases.push_back({"ws-qbmi-dmil-global", s, SchedPolicy::GTO,
+                         0x25c7953fa25d1b4dull});
+    }
+    {
+        SchemeSpec s = ws(BmiMode::None, MilMode::Static);
+        s.smil_limits[0] = 3;
+        s.smil_limits[1] = 1;
+        cases.push_back({"ws-smil", s, SchedPolicy::GTO,
+                         0xe7e0c10d4c6a2589ull});
+    }
+    {
+        SchemeSpec s = ws(BmiMode::None, MilMode::None);
+        s.ucp = true;
+        s.ucp_interval = Cycle{3000};
+        cases.push_back({"ws-ucp", s, SchedPolicy::GTO,
+                         0x45f45c2fe49766f7ull});
+    }
+    {
+        SchemeSpec s = ws(BmiMode::QBMI, MilMode::None);
+        FaultSpec rsfail;
+        rsfail.kind = FaultKind::ForceRsFail;
+        rsfail.begin = Cycle{3000};
+        rsfail.end = Cycle{6000};
+        rsfail.budget = 256;
+        s.faults.push_back(rsfail);
+        cases.push_back({"ws-qbmi-rsfail", s, SchedPolicy::GTO,
+                         0xbde709ad7abe6a5aull});
+    }
+
+    for (const Case &c : cases) {
+        GpuConfig cfg = smallCfg();
+        cfg.sm.sched_policy = c.policy;
+        Gpu gpu(cfg, w, c.spec);
+        gpu.run(Cycle{8000});
+        std::uint64_t h = fingerprint(gpu.smStatsTotal());
+        for (int k = 0; k < gpu.numKernels(); ++k)
+            h = fingerprint(gpu.kernelStatsTotal(KernelId{k}), h);
+        EXPECT_EQ(h, c.golden)
+            << c.name << ": got 0x" << std::hex << h << "ull";
+    }
+}
+
 TEST(Determinism, FingerprintSeparatesDifferentStats)
 {
     KernelStats a;
