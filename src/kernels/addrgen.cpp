@@ -67,15 +67,12 @@ initAddrGen(AddrGenState &st, const KernelProfile &prof,
 }
 
 void
-generateAccess(AddrGenState &st, const KernelProfile &prof,
-               int line_bytes, int simd_width,
-               std::vector<Addr> &thread_addrs)
+generateLines(AddrGenState &st, const KernelProfile &prof,
+              int simd_width, std::vector<LineAddr> &out)
 {
-    thread_addrs.clear();
+    out.clear();
 
     const int r = std::max(1, std::min(prof.req_per_minst, simd_width));
-    // Collect the r line numbers this instruction touches.
-    std::uint64_t lines[32];
 
     // Reuse is decided per line: each of the r requests independently
     // revisits a recently touched line with probability reuse_prob.
@@ -130,6 +127,7 @@ generateAccess(AddrGenState &st, const KernelProfile &prof,
     for (int i = 0; i < r; ++i) {
         const bool reuse =
             window > 0 && st.rng.nextDouble() < prof.reuse_prob;
+        std::uint64_t line = 0;
         if (reuse) {
             const int back =
                 skip + 1 +
@@ -138,27 +136,20 @@ generateAccess(AddrGenState &st, const KernelProfile &prof,
             const int pos = (st.ring_pos - back +
                              2 * AddrGenState::kRingSize) %
                             AddrGenState::kRingSize;
-            lines[i] = st.ring[static_cast<std::size_t>(pos)];
+            line = st.ring[static_cast<std::size_t>(pos)];
         } else {
-            lines[i] = fresh_line();
+            line = fresh_line();
             // Remember fresh lines for future reuse draws.
-            st.ring[static_cast<std::size_t>(st.ring_pos)] = lines[i];
+            st.ring[static_cast<std::size_t>(st.ring_pos)] = line;
             st.ring_pos = (st.ring_pos + 1) % AddrGenState::kRingSize;
             if (st.ring_count < AddrGenState::kRingSize)
                 ++st.ring_count;
         }
-    }
-
-    // Distribute threads across the r lines in contiguous blocks so
-    // the coalescer reconstructs exactly these transactions.
-    thread_addrs.reserve(static_cast<std::size_t>(simd_width));
-    for (int t = 0; t < simd_width; ++t) {
-        const int li = t * r / simd_width;
-        const std::uint64_t byte_off =
-            static_cast<std::uint64_t>((t * 4) % line_bytes);
-        thread_addrs.push_back(
-            Addr{lines[li] * static_cast<std::uint64_t>(line_bytes) +
-                 byte_off});
+        // A reuse or random draw may repeat a line of this
+        // instruction: the threads on it share one transaction.
+        if (std::find(out.begin(), out.end(), LineAddr{line}) ==
+            out.end())
+            out.push_back(LineAddr{line});
     }
 }
 

@@ -4,10 +4,12 @@
  *
  * Each warp owns an AddrGenState seeded deterministically from
  * (kernel instance, TB sequence number, warp index). A call to
- * generateAccess() emits one warp memory instruction's 32 per-thread
- * byte addresses, constructed so they coalesce into exactly the
- * profile's `Req/Minst` line transactions, with temporal locality
- * controlled by `reuse_prob` over a recently-touched-line ring.
+ * generateLines() emits the unique line transactions of one warp
+ * memory instruction: the profile's `Req/Minst` fixes the coalescing
+ * degree, and temporal locality is controlled by `reuse_prob` over a
+ * recently-touched-line ring. The generator works in lines
+ * throughout; synthetic kernels have no per-thread byte addresses to
+ * coalesce.
  */
 
 #ifndef CKESIM_KERNELS_ADDRGEN_HPP
@@ -32,7 +34,7 @@ struct AddrGenState
 
     Rng rng{1};
     /** Raw line-number state: the generator computes line numbers and
-     *  only mints byte Addrs at its output boundary. */
+     *  only mints LineAddrs at its output boundary. */
     std::uint64_t stream_cursor = 0; ///< next streaming step
     std::uint64_t stream_base_line = 0;  ///< per-TB region base
     std::uint64_t stream_region_lines = 0;
@@ -60,13 +62,13 @@ void initAddrGen(AddrGenState &st, const KernelProfile &prof,
                  int warps_per_tb, std::uint64_t seed, int line_bytes);
 
 /**
- * Emit one memory instruction's per-thread byte addresses (32 threads)
- * into @p thread_addrs (cleared first). Coalesces to exactly
- * prof.req_per_minst lines (fewer only when reuse collides).
+ * Emit one memory instruction's coalesced line transactions into
+ * @p out (cleared first), unique and in first-touch order (the order
+ * requests enter the LSU). Draws min(prof.req_per_minst, simd_width)
+ * lines; fewer come out only when reuse draws collide.
  */
-void generateAccess(AddrGenState &st, const KernelProfile &prof,
-                    int line_bytes, int simd_width,
-                    std::vector<Addr> &thread_addrs);
+void generateLines(AddrGenState &st, const KernelProfile &prof,
+                   int simd_width, std::vector<LineAddr> &out);
 
 } // namespace ckesim
 

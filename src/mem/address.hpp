@@ -4,11 +4,11 @@
  * xor set indexing (Table 1: "xor-indexing" for both cache levels)
  * and the static line-to-L2-partition/DRAM-channel mapping.
  *
- * This header (together with the coalescer, which calls toLineAddr)
- * is the *only* producer of LineAddr values: everything below the
- * coalescer speaks line addresses, everything above speaks byte
- * addresses, and the strong types make an accidental crossing a
- * compile error.
+ * This header is the *only* byte<->line crossing point. The memory
+ * path speaks line addresses throughout: the synthetic address
+ * generator (kernels/addrgen) emits a warp instruction's coalesced
+ * lines directly, with no per-thread byte addresses to convert, and
+ * the strong types make an accidental crossing a compile error.
  */
 
 #ifndef CKESIM_MEM_ADDRESS_HPP

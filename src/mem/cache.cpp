@@ -17,8 +17,10 @@ cacheCtx(KernelId kernel = kInvalidKernel)
 
 CacheArray::CacheArray(int num_sets, int assoc)
     : num_sets_(num_sets), assoc_(assoc),
-      sets_(static_cast<std::size_t>(num_sets) *
-            static_cast<std::size_t>(assoc))
+      tags_(static_cast<std::size_t>(num_sets) *
+                static_cast<std::size_t>(assoc),
+            kNoLine),
+      sets_(tags_.size())
 {
     SIM_CHECK(num_sets > 0 && (num_sets & (num_sets - 1)) == 0,
               cacheCtx(),
@@ -30,12 +32,12 @@ CacheArray::CacheArray(int num_sets, int assoc)
 int
 CacheArray::probe(LineAddr la) const
 {
-    const int set = setIndex(la);
-    for (int w = 0; w < assoc_; ++w) {
-        const CacheLine &l = line(set, w);
-        if ((l.valid || l.reserved) && l.line_addr == la)
+    if (la == kNoLine)
+        return -1;
+    const LineAddr *tags = &tags_[idx(setIndex(la), 0)];
+    for (int w = 0; w < assoc_; ++w)
+        if (tags[w] == la)
             return w;
-    }
     return -1;
 }
 
@@ -62,10 +64,10 @@ CacheArray::chooseVictim(LineAddr la, KernelId kernel)
     const int set = setIndex(la);
     VictimResult res;
 
-    // Prefer an invalid (and allowed) way.
+    // Prefer an empty (and allowed) way.
+    const LineAddr *tags = &tags_[idx(set, 0)];
     for (int w = 0; w < assoc_; ++w) {
-        const CacheLine &l = line(set, w);
-        if (!l.valid && !l.reserved && wayAllowed(kernel, w)) {
+        if (tags[w] == kNoLine && wayAllowed(kernel, w)) {
             res.ok = true;
             res.way = w;
             return res;
@@ -87,12 +89,11 @@ CacheArray::chooseVictim(LineAddr la, KernelId kernel)
     if (best < 0)
         return res; // every candidate is reserved: reservation failure
 
-    const CacheLine &victim = line(set, best);
     res.ok = true;
     res.way = best;
-    if (victim.valid && victim.dirty) {
+    if (valid(set, best) && line(set, best).dirty) {
         res.evicted_dirty = true;
-        res.evicted_line = victim.line_addr;
+        res.evicted_line = tags[best];
     }
     return res;
 }
@@ -100,9 +101,11 @@ CacheArray::chooseVictim(LineAddr la, KernelId kernel)
 void
 CacheArray::reserve(int set, int way, LineAddr la, KernelId kernel)
 {
+    SIM_CHECK(la != kNoLine, cacheCtx(kernel),
+              "reserve of the empty-tag sentinel (set " << set << " way "
+                                                       << way << ")");
+    tags_[idx(set, way)] = la;
     CacheLine &l = line(set, way);
-    l.line_addr = la;
-    l.valid = false;
     l.reserved = true;
     l.dirty = false;
     l.owner = kernel;
@@ -117,7 +120,6 @@ CacheArray::fill(int set, int way, bool dirty)
                   "fill on a non-reserved line (set " << set << " way "
                                                       << way << ")");
     l.reserved = false;
-    l.valid = true;
     l.dirty = dirty;
     l.lru = ++tick_;
 }
@@ -126,9 +128,11 @@ void
 CacheArray::install(int set, int way, LineAddr la, KernelId kernel,
                     bool dirty)
 {
+    SIM_CHECK(la != kNoLine, cacheCtx(kernel),
+              "install of the empty-tag sentinel (set " << set << " way "
+                                                       << way << ")");
+    tags_[idx(set, way)] = la;
     CacheLine &l = line(set, way);
-    l.line_addr = la;
-    l.valid = true;
     l.reserved = false;
     l.dirty = dirty;
     l.owner = kernel;
@@ -138,8 +142,8 @@ CacheArray::install(int set, int way, LineAddr la, KernelId kernel,
 void
 CacheArray::invalidate(int set, int way)
 {
+    tags_[idx(set, way)] = kNoLine;
     CacheLine &l = line(set, way);
-    l.valid = false;
     l.reserved = false;
     l.dirty = false;
 }
@@ -172,8 +176,8 @@ int
 CacheArray::occupancyOf(KernelId kernel) const
 {
     int n = 0;
-    for (const CacheLine &l : sets_)
-        if (l.valid && l.owner == kernel)
+    for (std::size_t i = 0; i < sets_.size(); ++i)
+        if (validAt(i) && sets_[i].owner == kernel)
             ++n;
     return n;
 }

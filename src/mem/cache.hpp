@@ -7,6 +7,11 @@
  * The array stores tags and state only; it is untimed. Timing (hit
  * latency, miss path, reservation-failure retry) lives in the L1D
  * front-end and the L2 partition models that own a CacheArray.
+ *
+ * Tags live in their own contiguous array, apart from the per-way
+ * state, so a probe compares assoc() adjacent 8-byte words. A way with
+ * no line holds the kNoLine sentinel tag; "valid" is derived (a tag is
+ * present and the way is not reserved), never stored.
  */
 
 #ifndef CKESIM_MEM_CACHE_HPP
@@ -20,11 +25,9 @@
 
 namespace ckesim {
 
-/** State of one cache line. */
+/** State of one cache way, apart from its tag. */
 struct CacheLine
 {
-    LineAddr line_addr{};  ///< tag (full line address for simplicity)
-    bool valid = false;
     bool reserved = false; ///< allocated on miss, fill pending
     bool dirty = false;    ///< WBWA caches only
     KernelId owner = kInvalidKernel; ///< kernel that installed the line
@@ -65,35 +68,43 @@ class CacheArray
         return xorSetIndex(line, num_sets_);
     }
 
-    /** Probe for @p line. @return way index or -1. */
+    /** Tag of a way that holds no line; never a valid line address. */
+    static constexpr LineAddr kNoLine = LineAddr::max();
+
+    /** Probe for @p line (valid or reserved). @return way index or -1. */
     int probe(LineAddr line) const;
 
-    /** Direct access to a line. */
+    /** Direct access to a way's state. */
     CacheLine &line(int set, int way) { return sets_[idx(set, way)]; }
     const CacheLine &line(int set, int way) const
     {
         return sets_[idx(set, way)];
     }
 
+    /** True when the way holds a filled line (present, not reserved). */
+    bool valid(int set, int way) const { return validAt(idx(set, way)); }
+
     /** Mark a hit: refresh LRU stamp. */
     void touch(int set, int way);
 
     /**
      * Pick a victim way for @p kernel in the set of @p line_number.
-     * Prefers an invalid way, else the LRU non-reserved way among the
+     * Prefers an empty way, else the LRU non-reserved way among the
      * ways allowed for the kernel. Fails (ok=false) when every
      * candidate way is reserved — the paper's "no allocatable cache
      * line slot" reservation-failure source.
      */
     VictimResult chooseVictim(LineAddr line, KernelId kernel);
 
-    /** Reserve a way for an in-flight fill (allocate-on-miss). */
+    /** Reserve a way for an in-flight fill (allocate-on-miss).
+     *  @p line must not be kNoLine. */
     void reserve(int set, int way, LineAddr line, KernelId kernel);
 
     /** Complete a reserved fill, making the line valid. */
     void fill(int set, int way, bool dirty = false);
 
-    /** Install a line immediately (valid, not reserved). */
+    /** Install a line immediately (valid, not reserved).
+     *  @p line must not be kNoLine. */
     void install(int set, int way, LineAddr line, KernelId kernel,
                  bool dirty);
 
@@ -120,10 +131,16 @@ class CacheArray
                static_cast<std::size_t>(way);
     }
 
+    bool validAt(std::size_t i) const
+    {
+        return tags_[i] != kNoLine && !sets_[i].reserved;
+    }
+
     bool wayAllowed(KernelId kernel, int way) const;
 
     int num_sets_;
     int assoc_;
+    std::vector<LineAddr> tags_;  ///< indexed like sets_; kNoLine = empty
     std::vector<CacheLine> sets_;
     std::uint64_t tick_ = 0;
 

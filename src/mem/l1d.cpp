@@ -52,8 +52,7 @@ L1Dcache::access(LineAddr line_number, KernelId kernel, bool write,
             return out;
         }
         const int way = tags_.probe(line_number);
-        if (way >= 0 && tags_.line(tags_.setIndex(line_number),
-                                   way).valid) {
+        if (way >= 0 && tags_.valid(tags_.setIndex(line_number), way)) {
             tags_.invalidate(tags_.setIndex(line_number), way);
         }
         MemRequest req;
@@ -71,8 +70,7 @@ L1Dcache::access(LineAddr line_number, KernelId kernel, bool write,
     const int way = tags_.probe(line_number);
     if (way >= 0) {
         const int set = tags_.setIndex(line_number);
-        CacheLine &l = tags_.line(set, way);
-        if (l.valid) {
+        if (tags_.valid(set, way)) {
             tags_.touch(set, way);
             out.kind = L1Outcome::Kind::Hit;
             return out;

@@ -49,13 +49,12 @@ L2Partition::tick(Cycle now, DramChannel &dram)
     const int way = tags_.probe(req.line_addr);
     if (way >= 0) {
         const int set = tags_.setIndex(req.line_addr);
-        CacheLine &l = tags_.line(set, way);
-        if (l.valid) {
+        if (tags_.valid(set, way)) {
             // L2 hit.
             ++accesses_;
             tags_.touch(set, way);
             if (is_write) {
-                l.dirty = true; // WBWA write hit
+                tags_.line(set, way).dirty = true; // WBWA write hit
             } else {
                 replies_.push_back(
                     Reply{now + cfg_.latency, req});

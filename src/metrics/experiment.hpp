@@ -23,12 +23,13 @@
 namespace ckesim {
 
 /**
- * Is CKESIM_FULL set? Full mode runs the paper-scale configuration
- * (16 SMs, all 78 suite pairs, longer windows).
+ * Is CKESIM_FULL set? Full mode runs all 78 suite pairs with longer
+ * windows; quick mode runs the 17 representative pairs. Both use the
+ * same machine (benchConfig()).
  */
 bool fullMode();
 
-/** Bench GPU configuration (16 SMs full / 8 SMs quick). */
+/** Bench GPU configuration: the 16-SM Table 1 machine in both modes. */
 GpuConfig benchConfig();
 
 /** Measurement cycles per simulation (env CKESIM_CYCLES overrides). */

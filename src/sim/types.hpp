@@ -258,10 +258,12 @@ using Addr = StrongUnit<struct AddrTag>;
 
 /**
  * Line-granular address (the byte address divided by the line size):
- * the currency of everything below the coalescer — L1D/L2 tag
- * arrays, MSHR keys, DRAM bank/row mapping, MemRequest routing.
- * Produced only by the coalescer / mem/address.hpp map (toLineAddr);
- * mixing it up with a byte Addr no longer compiles.
+ * the currency of the whole memory path — generated accesses, L1D/L2
+ * tag arrays, MSHR keys, DRAM bank/row mapping, MemRequest routing.
+ * Minted by the line-level address generator (kernels/addrgen), which
+ * has no byte addresses, or from a byte Addr only through
+ * mem/address.hpp (toLineAddr); mixing it up with a byte Addr no
+ * longer compiles.
  */
 using LineAddr = StrongUnit<struct LineAddrTag>;
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <sstream>
 
-#include "mem/coalescer.hpp"
 #include "sim/check.hpp"
 
 namespace ckesim {
@@ -67,8 +66,6 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
         }
     }
 
-    scratch_thread_addrs_.reserve(
-        static_cast<std::size_t>(cfg.sm.simd_width));
     scratch_lines_.reserve(static_cast<std::size_t>(cfg.sm.simd_width));
 
     // Due-wheel span: the longest dependent-issue latency plus slack
@@ -374,10 +371,8 @@ Sm::issueFrom(WarpSlot slot, Cycle now)
         break;
       case InstrKind::MemLoad:
       case InstrKind::MemStore: {
-        generateAccess(w.addr, *c.prof, cfg_.l1d.line_bytes,
-                       cfg_.sm.simd_width, scratch_thread_addrs_);
-        coalesce(scratch_thread_addrs_, cfg_.l1d.line_bytes,
-                 scratch_lines_);
+        generateLines(w.addr, *c.prof, cfg_.sm.simd_width,
+                      scratch_lines_);
         const bool is_store = kind == InstrKind::MemStore;
         lsu_.enqueue(slot, w.kernel, is_store, scratch_lines_);
         controller_.onMemInstrIssued(w.kernel);

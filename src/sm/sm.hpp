@@ -296,7 +296,6 @@ class Sm : public LsuHost
         wakes_;
 
     // Scratch buffers reused every memory instruction.
-    std::vector<Addr> scratch_thread_addrs_;
     std::vector<LineAddr> scratch_lines_;
 
     // Scratch buffers reused every drainFills cycle.
