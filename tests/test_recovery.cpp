@@ -130,20 +130,22 @@ TEST(Recovery, KilledSweepResumesToByteIdenticalTable)
         EXPECT_GE(first_pass_completed, 1u);
     }
 
-    // The completed count also covers nested isolated runs that are
-    // not in `jobs` (isolated ks, run inside the sv+ks schemes) when
-    // they finish before the cancel, so count the crash-time records
-    // of `jobs` themselves: those are what a resume is served.
+    // Every run the engine counted as completed was journaled before
+    // the count moved, nested isolated runs (isolated ks, run inside
+    // the sv+ks schemes) included, each under its own key. The resume
+    // copies below hold only the records of `jobs`, so they are served
+    // that many hits.
     std::uint64_t journaled_jobs = 0;
     {
         ResultJournal crash;
         crash.open(tmp.path());
+        EXPECT_EQ(crash.stats().loaded, first_pass_completed);
+        EXPECT_EQ(crash.size(), first_pass_completed);
         SimResult r;
         for (const SimJob &job : jobs)
             if (crash.find(job.key(), r))
                 ++journaled_jobs;
     }
-    EXPECT_LE(journaled_jobs, first_pass_completed);
 
     // Resume with various worker counts: completed work must be
     // served from the journal and the final table must be
